@@ -86,15 +86,19 @@ void BM_QuineMcCluskey(benchmark::State& state) {
 }
 BENCHMARK(BM_QuineMcCluskey)->Arg(3)->Arg(4)->Arg(6)->Arg(8);
 
+// One candidate end to end: evaluate() on a one-task suite with n = 1 and
+// one temperature, serially, with a fresh seed per iteration.
 void BM_CandidateCheck(benchmark::State& state) {
   const haven::eval::Suite human = haven::eval::build_verilogeval_human();
+  std::vector<haven::eval::Suite> singles;
+  for (const auto& task : human.tasks) singles.push_back({human.name, {task}});
   const haven::llm::SimLlm model = haven::llm::make_model("GPT-4");
-  const haven::eval::EvalEngine engine;
+  haven::eval::EvalEngine engine(
+      haven::eval::EvalRequest{}.with_samples(1).with_temperature(0.2).with_threads(1));
   std::size_t i = 0;
   for (auto _ : state) {
-    const auto& task = human.tasks[i++ % human.tasks.size()];
-    haven::util::Rng rng(i);
-    benchmark::DoNotOptimize(engine.check(model, task, 0.2, rng));
+    engine.request().seed = i;
+    benchmark::DoNotOptimize(engine.evaluate(model, singles[i++ % singles.size()]));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }

@@ -1,13 +1,17 @@
 #include "eval/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <ctime>
+#include <functional>
 #include <future>
-
+#include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "cache/result_cache.h"
@@ -164,81 +168,263 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// One (temperature, task, sample) work unit's result plus stage timings and
-// the fault record when the unit terminally failed. With repair enabled a
-// unit runs the candidate pipeline several times; the verdict-carrying pass
-// fills the flags below and every superseded pass folds into `prior`.
-struct UnitOutcome {
-  bool syntax_ok = false;
-  bool func_ok = false;
-  bool refined = false;
-  bool triaged = false;    // failed by lint proof, simulation skipped
-  bool proved = false;     // verdict decided by haven::prove, sim skipped
-  bool prove_fallback = false;  // prove attempted, deferred to simulation
-  bool simulated = false;  // the diff testbench actually ran
-  int sim_vectors = 0;     // vectors/cycles the diff testbench compared
-  std::vector<lint::Finding> findings;  // only when lint is enabled
-  // Failure witness of this pass: the first diff-sim miscompare or the prove
-  // inequivalence witness ("" when passing / compile-failed / triaged).
-  // Feeds repair::FeedbackBuilder and replays from the extended cache.
-  std::string fail_reason;
+// Everything the units of one task share. The fields above `golden_once` are
+// filled before the fan-out and cost no parsing. The golden artefacts below
+// it are built by the first unit whose candidate compiles (build_golden), so
+// the dispatching thread does no serial golden work, and a task whose
+// candidates never need the golden (all cache hits, or none compiles) never
+// parses it. The task's last unit to finish frees them again (unit_done).
+struct TaskContext {
+  const EvalTask* task = nullptr;
+  std::uint64_t rng_base = 0;  // per-task RNG base (DESIGN.md §5 "Work-unit layout")
+  cache::Digest cache_seed;    // task identity + eval knobs (cache on only)
+  // The task's stimulus with the request's step budget and backend applied.
+  sim::StimulusSpec stimulus;
+  std::atomic<std::size_t> units_left{0};  // this task's units not yet finished
+
+  std::once_flag golden_once;
+  verilog::ParseOutput golden;     // the golden module, parsed once per task
+  bool golden_ok = false;          // it parsed, with at least one module
+  lint::ReferenceProfile profile;  // lint on and golden_ok only
+  bool provable = false;           // prove on and the task is prove-eligible
+
+  // Called once per finished unit, on its worker. The last one frees the
+  // golden artefacts there, in parallel with other tasks' units. Left to
+  // ~TaskContext, every task's teardown would run serially on the
+  // dispatching thread after the fan-out, on the critical path of each job.
+  void unit_done() {
+    if (units_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      golden = verilog::ParseOutput{};
+      profile = lint::ReferenceProfile{};
+    }
+  }
+};
+
+// Parse the golden once and derive from it what lint and prove need. A
+// golden that does not parse leaves golden_ok false: lint then runs
+// reference-free, prove stays off, and simulation faults the unit.
+void build_golden(TaskContext& ctx, const EvalRequest& request) {
+  const EvalTask& task = *ctx.task;
+  ctx.golden = verilog::parse_source(task.golden_source);
+  ctx.golden_ok = ctx.golden.ok() && !ctx.golden.file.modules.empty();
+  if (!ctx.golden_ok) return;
+  const verilog::Module& gm = ctx.golden.file.modules.front();
+  const verilog::SourceFile* file = &ctx.golden.file;
+
+  if (request.lint || request.lint_triage) {
+    lint::ReferenceProfile& profile = ctx.profile;
+    lint::profile_from_golden(gm, file, &profile);
+    profile.sequential = task.stimulus.sequential;
+    profile.clock = task.stimulus.clock;
+    profile.reset = task.stimulus.reset;
+    // Replicate the testbench's exhaustive-sweep policy (sim/testbench.cpp):
+    // data inputs are the golden's non-clock/reset inputs, swept
+    // exhaustively when their total bit count fits the budget.
+    if (!task.stimulus.sequential) {
+      int total_bits = 0;
+      for (const auto& p : gm.ports) {
+        if (p.dir == verilog::Dir::kOutput) continue;
+        if (p.name == task.stimulus.clock || p.name == task.stimulus.reset) continue;
+        total_bits += p.width();
+      }
+      profile.exhaustive_comb =
+          total_bits <= task.stimulus.max_exhaustive_bits && total_bits <= 20;
+    }
+    try {
+      (void)sim::elaborate(gm, file);
+    } catch (const sim::ElabError&) {
+      profile.golden_elab_ok = false;
+    }
+    // Golden truth rows for the constant-output proof: only combinational
+    // expression tasks carry an exact semantic function.
+    if (task.spec.kind == llm::TaskKind::kCombExpr && task.spec.expr != nullptr &&
+        !task.spec.comb_inputs.empty() && task.spec.comb_inputs.size() <= 20) {
+      const logic::TruthTable tt = logic::TruthTable::from_expr(
+          *task.spec.expr, task.spec.comb_inputs, task.spec.comb_output);
+      lint::ReferenceProfile::OutputTruth truth;
+      truth.port = task.spec.comb_output;
+      const std::uint32_t rows = std::uint32_t{1}
+                                 << static_cast<std::uint32_t>(task.spec.comb_inputs.size());
+      for (std::uint32_t row = 0; row < rows; ++row) {
+        const logic::Tri v = tt.row(row);
+        truth.defined_zero |= v == logic::Tri::kFalse;
+        truth.defined_one |= v == logic::Tri::kTrue;
+      }
+      profile.truth.push_back(std::move(truth));
+    }
+  }
+
+  // Prove eligibility is structural: combinational spec, sweep fits, golden
+  // lowers, and no step budget in force (a budget-blown sim must still
+  // surface as a unit fault). The dry run is unbudgeted so that a small
+  // request budget exhausts per candidate, counted under prove_fallback,
+  // instead of silently disabling the task.
+  ctx.provable = request.prove && ctx.stimulus.step_budget == 0 &&
+                 prove::golden_provable(gm, file, ctx.stimulus, prove::ProveOptions{0});
+}
+
+// One pass of the candidate pipeline: round 0, a repair round, or a cache
+// hit replaying either. `verdict` is exactly what the result cache stores.
+struct PassRecord {
+  CachedVerdict verdict;
+  bool cache_hit = false;  // verdict replayed from the result cache
+  bool refined = false;    // SI-CoT transformed the prompt
   double generate_seconds = 0.0;
   double compile_seconds = 0.0;
   double lint_seconds = 0.0;
   double prove_seconds = 0.0;
   double sim_seconds = 0.0;
-  int attempts = 1;  // attempts consumed (1 = no retries)
-  bool cache_hit = false;  // verdict replayed from the result cache
+};
+
+// compile → lint → prove → simulate over one generated candidate. The
+// candidate is analyzed once; that parse and the task's one golden feed every
+// later stage. A stage that decides the verdict returns early.
+void check_candidate(const EvalRequest& request, TaskContext& ctx, std::string_view source,
+                     util::Rng& tb_rng, const util::Deadline& deadline, PassRecord& pass) {
+  CachedVerdict& v = pass.verdict;
+  const bool lint_on = request.lint || request.lint_triage;
+
+  const Clock::time_point compile_start = Clock::now();
+  util::maybe_inject(util::kSiteEvalCompile);
+  const verilog::SourceAnalysis analysis = verilog::analyze_source(source);
+  v.syntax_ok = analysis.ok();
+  pass.compile_seconds = seconds_since(compile_start);
+  deadline.check("compile");
+
+  if (!v.syntax_ok) {
+    if (lint_on) {
+      // Attribute the compile failure: parse errors and semantic errors map
+      // to kSyntax/kSema findings with taxonomy axes.
+      const Clock::time_point lint_start = Clock::now();
+      v.findings = lint::findings_from_diagnostics(analysis.parse_errors);
+      for (const auto& m : analysis.modules) {
+        auto more = lint::findings_from_diagnostics(m.diagnostics);
+        v.findings.insert(v.findings.end(), more.begin(), more.end());
+      }
+      pass.lint_seconds = seconds_since(lint_start);
+    }
+    return;
+  }
+
+  std::call_once(ctx.golden_once, build_golden, std::ref(ctx), std::cref(request));
+  const verilog::Module& cand = analysis.file.modules.front();
+  const verilog::SourceFile& golden = ctx.golden.file;
+
+  // Lint draws nothing from the unit RNG (determinism contract).
+  if (lint_on) {
+    const Clock::time_point lint_start = Clock::now();
+    lint::LintResult lint_result =
+        lint::lint_candidate(cand, &analysis.file, ctx.golden_ok ? &ctx.profile : nullptr);
+    const bool proven = lint_result.proven_failure();
+    v.findings = std::move(lint_result.findings);
+    pass.lint_seconds = seconds_since(lint_start);
+    deadline.check("lint");
+    if (request.lint_triage && proven) {
+      // Proven findings imply the diff test fails (DESIGN.md §8): score the
+      // candidate as a functional failure without simulating.
+      v.triaged = true;
+      return;
+    }
+  }
+
+  // Formal equivalence fast-path (DESIGN.md §12), after lint triage — a
+  // candidate with a proven lint failure counts once, under lint_triaged —
+  // and before simulation. A proven verdict is bit-identical to the diff
+  // testbench's by construction; anything else falls through to it.
+  if (ctx.provable) {
+    const Clock::time_point prove_start = Clock::now();
+    const prove::ProveResult proof =
+        prove::prove_equivalence(cand, &analysis.file, golden.modules.front(), &golden,
+                                 ctx.stimulus, prove::ProveOptions{request.prove_budget});
+    pass.prove_seconds = seconds_since(prove_start);
+    deadline.check("prove");
+    if (proof.status == prove::ProveStatus::kEquivalent ||
+        proof.status == prove::ProveStatus::kInequivalent) {
+      v.func_ok = proof.status == prove::ProveStatus::kEquivalent;
+      v.proved = true;
+      if (!v.func_ok) v.fail_reason = proof.reason;
+      return;
+    }
+    // kUnsupported / kBudgetExceeded: defer to the testbench.
+    v.prove_fallback = true;
+  }
+
+  if (!ctx.golden_ok) throw std::invalid_argument("golden source does not parse");
+  const Clock::time_point sim_start = Clock::now();
+  const sim::DiffResult diff = sim::run_diff_test(cand, &analysis.file, golden.modules.front(),
+                                                  &golden, ctx.stimulus, tb_rng, &deadline);
+  pass.sim_seconds = seconds_since(sim_start);
+  v.func_ok = diff.passed;
+  v.simulated = true;
+  v.sim_vectors = diff.vectors;
+  if (!diff.passed) v.fail_reason = diff.reason;
+}
+
+// The candidate pipeline: SI-CoT refine, generate, then the result cache or
+// check_candidate. The draw order against `rng` is part of the determinism
+// contract — do not reorder. Neither the deadline checks nor the injection
+// hook draw from `rng`, so enabling them never perturbs results. A non-null
+// `damping` routes generation through generate_with_hints (repair rounds);
+// round 0 passes null and takes the byte-identical generate() path.
+PassRecord run_candidate(const llm::SimLlm& model, const EvalRequest& request, TaskContext& ctx,
+                         double temperature, util::Rng& rng, const util::Deadline& deadline,
+                         const llm::AxisDamping* damping) {
+  PassRecord pass;
+  const Clock::time_point gen_start = Clock::now();
+  std::string prompt = ctx.task->prompt;
+  if (request.use_sicot) {
+    const llm::SimLlm* interpreter = request.has_cot_model() ? request.cot_model_ptr() : &model;
+    cot::SiCotPipeline pipeline(interpreter);
+    cot::SiCotResult refined = pipeline.refine(prompt, temperature, rng);
+    prompt = std::move(refined.prompt);
+    pass.refined = refined.transformed;
+  }
+  llm::GenerationConfig gen;
+  gen.temperature = temperature;
+  const std::string source = damping != nullptr
+                                 ? model.generate_with_hints(prompt, gen, *damping, rng)
+                                 : model.generate(prompt, gen, rng);
+  pass.generate_seconds = seconds_since(gen_start);
+  deadline.check("generate");
+
+  // The testbench stream forks here, right after generation. No later stage
+  // draws from `rng`, so the stream is bit-identical to forking at
+  // simulation time — and forking early lets the cache key bind the stimulus
+  // stream before any cached stage.
+  util::Rng tb_rng = rng.fork();
+
+  // Result-cache lookup (content + task + knobs + stimulus stream): a hit
+  // replays the stored verdict bit-identically; see DESIGN.md §9 for the
+  // soundness argument. An undecodable payload (older schema, corrupt
+  // artifact) is a miss, and the fresh verdict overwrites it.
+  cache::ResultCache* const cache = request.cache;
+  cache::Digest cache_key;
+  if (cache != nullptr) {
+    cache_key = unit_cache_key(ctx.cache_seed, source, tb_rng.state_hash());
+    if (std::optional<std::string> payload = cache->lookup(cache_key)) {
+      if (decode_verdict(*payload, &pass.verdict)) {
+        pass.cache_hit = true;
+        return pass;
+      }
+    }
+  }
+  check_candidate(request, ctx, source, tb_rng, deadline, pass);
+  // Faults throw past this, so only completed passes are ever stored.
+  if (cache != nullptr) {
+    cache->insert(cache_key, encode_verdict(pass.verdict, request.repair.enabled()));
+  }
+  return pass;
+}
+
+// One (temperature, task, sample) work unit: round 0 plus any repair rounds,
+// or the fault that ended it.
+struct UnitOutcome {
+  std::vector<PassRecord> passes;  // round 0 first; empty when faulted
+  std::size_t verdict = 0;         // the first passing pass, else the last
+  int attempts = 1;                // attempts consumed (1 = no retries)
   bool faulted = false;
   FaultKind fault_kind = FaultKind::kException;
   std::string fault_what;
-  // Self-repair bookkeeping (all zero when repair is off).
-  int repair_rounds = 0;          // repair passes this unit ran
-  bool repaired = false;          // failed round 0, some repair round passed
-  bool repair_exhausted = false;  // ran >= 1 round, final verdict still fails
-  // Pipeline-bucket contributions of the superseded (non-verdict) passes,
-  // folded by the unit so the reducer keeps one accounting site.
-  struct PriorPasses {
-    std::int64_t compile_failures = 0;
-    std::int64_t sim_mismatches = 0;
-    std::int64_t lint_triaged = 0;
-    std::int64_t proven_equiv = 0;
-    std::int64_t proven_inequiv = 0;
-    std::int64_t prove_fallback = 0;
-    std::int64_t simulated = 0;
-    std::int64_t sim_vectors = 0;
-    std::int64_t cache_hits = 0;
-    std::int64_t cache_misses = 0;
-  } prior;
-};
-
-// Per-task cache context shared read-only by the sample fan-out. Null cache
-// = caching off (the candidate pipeline is then identical to the uncached
-// engine). `extended` selects the v3 verdict payload carrying fail_reason
-// (repair-enabled runs only; their task seeds already key a disjoint space).
-struct CacheRun {
-  cache::ResultCache* cache = nullptr;
-  cache::Digest task_seed;
-  bool extended = false;
-};
-
-// Per-task lint context prepared once before the sample fan-out: the parsed
-// golden module, the reference profile, and the triage switch. Null pointer
-// = lint disabled (the candidate pipeline is then byte-identical to the
-// pre-lint engine).
-struct LintRun {
-  const lint::ReferenceProfile* profile = nullptr;  // null when golden unusable
-  const verilog::ParseOutput* golden = nullptr;     // parsed golden (same cond.)
-  bool triage = false;
-};
-
-// Per-task prove context prepared once before the sample fan-out. A null
-// golden means the task is outside the provable fragment (sequential, sweep
-// too wide, golden doesn't lower, or a step budget is in force): every
-// candidate simulates as before, with no fallback counted.
-struct ProveRun {
-  const verilog::ParseOutput* golden = nullptr;
-  prove::ProveOptions opts;
 };
 
 FaultKind classify_fault(const std::exception& e) {
@@ -248,223 +434,7 @@ FaultKind classify_fault(const std::exception& e) {
   return FaultKind::kException;
 }
 
-// The candidate pipeline shared by evaluate() and check(): SI-CoT refine,
-// generate, compile-check, differential simulation. The draw order against
-// `rng` is part of the determinism contract — do not reorder. Neither the
-// deadline checks nor the injection hook draw from `rng`, so enabling them
-// never perturbs results. A non-null `damping` routes generation through
-// generate_with_hints (repair rounds); round 0 and repair-off runs pass null
-// and take the byte-identical generate() path.
-CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
-                               double temperature, bool use_sicot,
-                               const llm::SimLlm* cot_model, util::Rng& rng,
-                               UnitOutcome* stats, const util::Deadline& deadline,
-                               std::uint64_t step_budget, sim::SimBackend sim_backend,
-                               const LintRun* lint_run = nullptr,
-                               const CacheRun* cache_run = nullptr,
-                               const ProveRun* prove_run = nullptr,
-                               const llm::AxisDamping* damping = nullptr) {
-  CandidateOutcome outcome;
-
-  const Clock::time_point gen_start = Clock::now();
-  std::string prompt = task.prompt;
-  if (use_sicot) {
-    const llm::SimLlm* interpreter = cot_model != nullptr ? cot_model : &model;
-    cot::SiCotPipeline pipeline(interpreter);
-    const cot::SiCotResult refined = pipeline.refine(prompt, temperature, rng);
-    prompt = refined.prompt;
-    if (stats != nullptr) stats->refined = refined.transformed;
-  }
-
-  llm::GenerationConfig gen;
-  gen.temperature = temperature;
-  outcome.source = damping != nullptr ? model.generate_with_hints(prompt, gen, *damping, rng)
-                                      : model.generate(prompt, gen, rng);
-  if (stats != nullptr) stats->generate_seconds = seconds_since(gen_start);
-  deadline.check("generate");
-
-  // The testbench stream forks here, right after generation. It used to fork
-  // at simulation time, but no stage in between draws from `rng`, so the
-  // stream is bit-identical to the historical derivation — and forking early
-  // lets the cache key bind the stimulus stream before any cached stage.
-  util::Rng tb_rng = rng.fork();
-
-  // Result-cache lookup (content + task + knobs + stimulus stream): a hit
-  // replays the stored verdict and short-circuits compile/lint/simulate
-  // bit-identically; see DESIGN.md §9 for the soundness argument.
-  const bool caching = cache_run != nullptr && cache_run->cache != nullptr && stats != nullptr;
-  cache::Digest cache_key;
-  if (caching) {
-    cache_key = unit_cache_key(cache_run->task_seed, outcome.source, tb_rng.state_hash());
-    if (std::optional<std::string> payload = cache_run->cache->lookup(cache_key)) {
-      CachedVerdict v;
-      if (decode_verdict(*payload, &v)) {
-        outcome.syntax_ok = v.syntax_ok;
-        outcome.func_ok = v.func_ok;
-        stats->syntax_ok = v.syntax_ok;
-        stats->func_ok = v.func_ok;
-        stats->triaged = v.triaged;
-        stats->proved = v.proved;
-        stats->prove_fallback = v.prove_fallback;
-        stats->simulated = v.simulated;
-        stats->sim_vectors = v.sim_vectors;
-        stats->findings = std::move(v.findings);
-        stats->fail_reason = std::move(v.fail_reason);
-        stats->cache_hit = true;
-        return outcome;
-      }
-      // Undecodable payload (older schema, corrupt artifact): treat as a
-      // miss; the fresh verdict below overwrites the bad entry.
-    }
-  }
-  // Populate the cache at each completed exit. Faults throw past this, so
-  // only terminally successful pipelines are ever stored.
-  auto store = [&](const CandidateOutcome& oc) {
-    if (!caching) return;
-    CachedVerdict v;
-    v.syntax_ok = oc.syntax_ok;
-    v.func_ok = oc.func_ok;
-    v.triaged = stats->triaged;
-    v.proved = stats->proved;
-    v.prove_fallback = stats->prove_fallback;
-    v.simulated = stats->simulated;
-    v.sim_vectors = stats->sim_vectors;
-    v.findings = stats->findings;
-    v.fail_reason = stats->fail_reason;
-    cache_run->cache->insert(cache_key, encode_verdict(v, cache_run->extended));
-  };
-
-  const Clock::time_point compile_start = Clock::now();
-  util::maybe_inject(util::kSiteEvalCompile);
-  outcome.syntax_ok = verilog::compile_ok(outcome.source);
-  if (stats != nullptr) {
-    stats->compile_seconds = seconds_since(compile_start);
-    stats->syntax_ok = outcome.syntax_ok;
-  }
-  deadline.check("compile");
-
-  if (!outcome.syntax_ok) {
-    if (lint_run != nullptr && stats != nullptr) {
-      // Attribute the compile failure: parse errors and semantic errors map
-      // to kSyntax/kSema findings with taxonomy axes.
-      const Clock::time_point lint_start = Clock::now();
-      const verilog::SourceAnalysis analysis = verilog::analyze_source(outcome.source);
-      stats->findings = lint::findings_from_diagnostics(analysis.parse_errors);
-      for (const auto& m : analysis.modules) {
-        auto more = lint::findings_from_diagnostics(m.diagnostics);
-        stats->findings.insert(stats->findings.end(), more.begin(), more.end());
-      }
-      stats->lint_seconds = seconds_since(lint_start);
-    }
-    store(outcome);
-    return outcome;
-  }
-
-  const bool prove_active = prove_run != nullptr && prove_run->golden != nullptr;
-
-  // Lint the compiled candidate against the reference profile. Draws nothing
-  // from `rng` (determinism contract) and parses the candidate exactly once;
-  // the parsed AST feeds the prover and the simulator below.
-  verilog::ParseOutput cand_parsed;
-  bool cand_ast_ready = false;
-  if (lint_run != nullptr) {
-    const Clock::time_point lint_start = Clock::now();
-    cand_parsed = verilog::parse_source(outcome.source);
-    cand_ast_ready = cand_parsed.ok() && !cand_parsed.file.modules.empty();
-    if (cand_ast_ready) {
-      lint::LintResult lint_result = lint::lint_candidate(
-          cand_parsed.file.modules.front(), &cand_parsed.file, lint_run->profile);
-      const bool proven = lint_result.proven_failure();
-      if (stats != nullptr) {
-        stats->findings = std::move(lint_result.findings);
-        stats->lint_seconds = seconds_since(lint_start);
-      }
-      deadline.check("lint");
-      if (lint_run->triage && proven) {
-        // Proven findings imply the diff test fails (DESIGN.md §8): score the
-        // candidate as a functional failure without simulating.
-        outcome.func_ok = false;
-        if (stats != nullptr) stats->triaged = true;
-        store(outcome);
-        return outcome;
-      }
-    } else if (stats != nullptr) {
-      stats->lint_seconds = seconds_since(lint_start);
-    }
-  } else if (prove_active) {
-    // Lint is off but the prover needs the AST; the parse is charged to the
-    // prove stage.
-    const Clock::time_point parse_start = Clock::now();
-    cand_parsed = verilog::parse_source(outcome.source);
-    cand_ast_ready = cand_parsed.ok() && !cand_parsed.file.modules.empty();
-    if (stats != nullptr) stats->prove_seconds += seconds_since(parse_start);
-  }
-
-  // Formal equivalence fast-path (DESIGN.md §12), after lint triage — a
-  // candidate with a proven lint failure counts once, under lint_triaged —
-  // and before simulation. A proven verdict is bit-identical to the diff
-  // testbench's by construction; anything else falls through to it.
-  if (prove_active && cand_ast_ready) {
-    const Clock::time_point prove_start = Clock::now();
-    const prove::ProveResult proof = prove::prove_equivalence(
-        cand_parsed.file.modules.front(), &cand_parsed.file,
-        prove_run->golden->file.modules.front(), &prove_run->golden->file, task.stimulus,
-        prove_run->opts);
-    if (stats != nullptr) stats->prove_seconds += seconds_since(prove_start);
-    deadline.check("prove");
-    if (proof.status == prove::ProveStatus::kEquivalent ||
-        proof.status == prove::ProveStatus::kInequivalent) {
-      outcome.func_ok = proof.status == prove::ProveStatus::kEquivalent;
-      if (stats != nullptr) {
-        stats->func_ok = outcome.func_ok;
-        stats->proved = true;
-        if (!outcome.func_ok) stats->fail_reason = proof.reason;
-      }
-      store(outcome);
-      return outcome;
-    }
-    // kUnsupported / kBudgetExceeded: defer to the testbench.
-    if (stats != nullptr) stats->prove_fallback = true;
-  }
-
-  const Clock::time_point sim_start = Clock::now();
-  sim::StimulusSpec stimulus = task.stimulus;
-  if (step_budget != 0) stimulus.step_budget = step_budget;
-  stimulus.backend = sim_backend;
-  const verilog::ParseOutput* golden_ast =
-      lint_run != nullptr && lint_run->golden != nullptr ? lint_run->golden
-      : prove_active                                     ? prove_run->golden
-                                                         : nullptr;
-  const sim::DiffResult diff =
-      (cand_ast_ready && golden_ast != nullptr)
-          ? sim::run_diff_test(cand_parsed.file.modules.front(), &cand_parsed.file,
-                               golden_ast->file.modules.front(), &golden_ast->file, stimulus,
-                               tb_rng, &deadline)
-          : sim::run_diff_test(outcome.source, task.golden_source, stimulus, tb_rng,
-                               &deadline);
-  outcome.func_ok = diff.passed;
-  if (stats != nullptr) {
-    stats->sim_seconds = seconds_since(sim_start);
-    stats->func_ok = outcome.func_ok;
-    stats->simulated = true;
-    stats->sim_vectors = diff.vectors;
-    if (!diff.passed) stats->fail_reason = diff.reason;
-  }
-  store(outcome);
-  return outcome;
-}
-
 }  // namespace
-
-CandidateOutcome EvalEngine::check(const llm::SimLlm& model, const EvalTask& task,
-                                   double temperature, util::Rng& rng) const {
-  const util::Deadline deadline = request_.deadline_ms > 0
-                                      ? util::Deadline::after_ms(request_.deadline_ms)
-                                      : util::Deadline::none();
-  return run_candidate(model, task, temperature, request_.use_sicot,
-                       request_.cot_model_ptr(), rng, nullptr, deadline,
-                       request_.sim_step_budget, request_.sim_backend);
-}
 
 SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) const {
   const Clock::time_point wall_start = Clock::now();
@@ -475,128 +445,30 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
   const std::size_t n_samples =
       request_.n_samples > 0 ? static_cast<std::size_t>(request_.n_samples) : 0;
   const std::size_t total = n_temps * n_tasks * n_samples;
-
-  // Per-task seed base, identical to the legacy serial derivation.
-  std::vector<std::uint64_t> task_seed(n_tasks);
-  for (std::size_t i = 0; i < n_tasks; ++i) {
-    task_seed[i] = mix_hash(request_.seed, model.name() + "|" + suite.tasks[i].id);
-  }
-
-  const llm::SimLlm* cot_model = request_.cot_model_ptr();
-
-  // Per-task lint context: golden module parsed once, reference profile
-  // distilled once, shared read-only by every worker. A golden that fails to
-  // parse (broken task definition) degrades that task to reference-free
-  // lint; the simulation path then reports the failure as before.
   const bool lint_enabled = request_.lint || request_.lint_triage;
-  struct GoldenCtx {
-    verilog::ParseOutput parsed;
-    lint::ReferenceProfile profile;
-    bool usable = false;
-  };
-  std::vector<GoldenCtx> goldens(lint_enabled ? n_tasks : 0);
-  if (lint_enabled) {
-    for (std::size_t i = 0; i < n_tasks; ++i) {
-      const EvalTask& task = suite.tasks[i];
-      GoldenCtx& g = goldens[i];
-      g.parsed = verilog::parse_source(task.golden_source);
-      if (!g.parsed.ok() || g.parsed.file.modules.empty()) continue;
-      const verilog::Module& gm = g.parsed.file.modules.front();
-      lint::profile_from_golden(gm, &g.parsed.file, &g.profile);
-      g.profile.sequential = task.stimulus.sequential;
-      g.profile.clock = task.stimulus.clock;
-      g.profile.reset = task.stimulus.reset;
-      // Replicate the testbench's exhaustive-sweep policy (sim/testbench.cpp):
-      // data inputs are the golden's non-clock/reset inputs, swept
-      // exhaustively when their total bit count fits the budget.
-      if (!task.stimulus.sequential) {
-        int total_bits = 0;
-        for (const auto& p : gm.ports) {
-          if (p.dir == verilog::Dir::kOutput) continue;
-          if (p.name == task.stimulus.clock || p.name == task.stimulus.reset) continue;
-          total_bits += p.width();
-        }
-        g.profile.exhaustive_comb =
-            total_bits <= task.stimulus.max_exhaustive_bits && total_bits <= 20;
-      }
-      try {
-        (void)sim::elaborate(gm, &g.parsed.file);
-      } catch (const sim::ElabError&) {
-        g.profile.golden_elab_ok = false;
-      }
-      // Golden truth rows for the constant-output proof: only combinational
-      // expression tasks carry an exact semantic function.
-      if (task.spec.kind == llm::TaskKind::kCombExpr && task.spec.expr != nullptr &&
-          !task.spec.comb_inputs.empty() && task.spec.comb_inputs.size() <= 20) {
-        const logic::TruthTable tt = logic::TruthTable::from_expr(
-            *task.spec.expr, task.spec.comb_inputs, task.spec.comb_output);
-        lint::ReferenceProfile::OutputTruth truth;
-        truth.port = task.spec.comb_output;
-        const std::uint32_t rows = std::uint32_t{1}
-                                   << static_cast<std::uint32_t>(task.spec.comb_inputs.size());
-        for (std::uint32_t row = 0; row < rows; ++row) {
-          const logic::Tri v = tt.row(row);
-          truth.defined_zero |= v == logic::Tri::kFalse;
-          truth.defined_one |= v == logic::Tri::kTrue;
-        }
-        g.profile.truth.push_back(std::move(truth));
-      }
-      g.usable = true;
-    }
-  }
-
-  // Per-task cache seeds: task identity + eval knobs hashed once, shared
-  // read-only by every worker. The per-candidate key then adds the
-  // candidate's content and its stimulus stream (see eval/cache_io.h).
   cache::ResultCache* result_cache = request_.cache;
-  std::int64_t cache_evictions_before = 0;
-  std::vector<CacheRun> cache_runs(result_cache != nullptr ? n_tasks : 0);
-  if (result_cache != nullptr) {
-    const CacheLintMode lint_mode = request_.lint_triage ? CacheLintMode::kTriage
-                                    : lint_enabled       ? CacheLintMode::kObserve
-                                                         : CacheLintMode::kOff;
-    for (std::size_t i = 0; i < n_tasks; ++i) {
-      cache_runs[i].cache = result_cache;
-      cache_runs[i].task_seed =
-          task_cache_seed(suite.tasks[i], request_.sim_step_budget, lint_mode, request_.prove,
-                          request_.prove_budget, &request_.repair);
-      cache_runs[i].extended = request_.repair.enabled();
-    }
-    cache_evictions_before = result_cache->stats().evictions;
-  }
+  const std::int64_t cache_evictions_before =
+      result_cache != nullptr ? result_cache->stats().evictions : 0;
 
-  // Per-task prove context: eligibility decided once per task, shared
-  // read-only by every worker. Eligibility is structural (combinational spec,
-  // sweep fits, golden lowers, no step budget in force — a budget-blown sim
-  // must still surface as a unit fault); the dry run is unbudgeted so that a
-  // small request budget exhausts per candidate, counted under
-  // prove_fallback, instead of silently disabling the task.
-  const bool prove_enabled = request_.prove;
-  prove::ProveOptions prove_opts;
-  prove_opts.node_budget = request_.prove_budget;
-  std::vector<ProveRun> prove_runs(prove_enabled ? n_tasks : 0);
-  std::vector<verilog::ParseOutput> prove_goldens(prove_enabled ? n_tasks : 0);
-  if (prove_enabled) {
-    for (std::size_t i = 0; i < n_tasks; ++i) {
-      const EvalTask& task = suite.tasks[i];
-      prove_runs[i].opts = prove_opts;
-      if (request_.sim_step_budget != 0 || task.stimulus.step_budget != 0) continue;
-      const verilog::ParseOutput* golden = nullptr;
-      if (lint_enabled && goldens[i].usable) {
-        golden = &goldens[i].parsed;
-      } else if (!lint_enabled) {
-        prove_goldens[i] = verilog::parse_source(task.golden_source);
-        if (prove_goldens[i].ok() && !prove_goldens[i].file.modules.empty()) {
-          golden = &prove_goldens[i];
-        }
-      }
-      if (golden == nullptr) continue;
-      if (!prove::golden_provable(golden->file.modules.front(), &golden->file, task.stimulus,
-                                  prove::ProveOptions{0})) {
-        continue;
-      }
-      prove_runs[i].golden = golden;
+  // Per-task contexts: only the parse-free fields here, the golden artefacts
+  // lazily inside the fan-out (see TaskContext).
+  const CacheLintMode lint_mode = request_.lint_triage ? CacheLintMode::kTriage
+                                  : lint_enabled       ? CacheLintMode::kObserve
+                                                       : CacheLintMode::kOff;
+  std::vector<TaskContext> contexts(n_tasks);
+  for (std::size_t i = 0; i < n_tasks; ++i) {
+    const EvalTask& task = suite.tasks[i];
+    TaskContext& ctx = contexts[i];
+    ctx.task = &task;
+    ctx.rng_base = mix_hash(request_.seed, model.name() + "|" + task.id);
+    if (result_cache != nullptr) {
+      ctx.cache_seed = task_cache_seed(task, request_.sim_step_budget, lint_mode,
+                                       request_.prove, request_.prove_budget, &request_.repair);
     }
+    ctx.stimulus = task.stimulus;
+    if (request_.sim_step_budget != 0) ctx.stimulus.step_budget = request_.sim_step_budget;
+    ctx.stimulus.backend = request_.sim_backend;
+    ctx.units_left.store(n_temps * n_samples, std::memory_order_relaxed);
   }
 
   // Work-unit index layout: temperature-major, then task, then sample.
@@ -618,24 +490,22 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
     std::size_t ti = 0, task_i = 0;
     int s = 0;
     decode(unit, ti, task_i, s);
+    TaskContext& ctx = contexts[task_i];
+    struct Finished {
+      TaskContext& ctx;
+      ~Finished() { ctx.unit_done(); }
+    } finished{ctx};  // on every exit: verdict or fault
     const double temperature = request_.temperatures[ti];
     const int max_retries = std::max(0, request_.retry.max_retries);
-    LintRun lint_run;
-    if (lint_enabled && goldens[task_i].usable) {
-      lint_run.profile = &goldens[task_i].profile;
-      lint_run.golden = &goldens[task_i].parsed;
-    }
-    lint_run.triage = request_.lint_triage;
     const repair::RepairPolicy& policy = request_.repair;
-    const repair::FeedbackBuilder feedback;
-    UnitOutcome stats;
+    UnitOutcome out;
     for (int attempt = 0;; ++attempt) {
-      stats = UnitOutcome{};  // drop partial stage results of a failed attempt
-      stats.attempts = attempt + 1;
+      out = UnitOutcome{};  // drop the passes of a failed attempt
+      out.attempts = attempt + 1;
       // Round 0 uses this seed unmodified (the legacy derivation, bit for
       // bit); repair round r >= 1 XORs in a per-round term below.
       const std::uint64_t unit_seed =
-          task_seed[task_i] ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(s + 1)) ^
+          ctx.rng_base ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(s + 1)) ^
           static_cast<std::uint64_t>(temperature * 4096) ^
           (0xda942042e4dd58b5ULL * static_cast<std::uint64_t>(attempt));
       util::Rng rng(unit_seed);
@@ -648,26 +518,18 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
                                           ? util::Deadline::after_ms(request_.deadline_ms)
                                           : util::Deadline::none();
       try {
-        run_candidate(model, suite.tasks[task_i], temperature, request_.use_sicot, cot_model,
-                      rng, &stats, deadline, request_.sim_step_budget, request_.sim_backend,
-                      lint_enabled ? &lint_run : nullptr,
-                      result_cache != nullptr ? &cache_runs[task_i] : nullptr,
-                      prove_enabled ? &prove_runs[task_i] : nullptr);
-        if (!policy.enabled()) return stats;
-
+        out.passes.push_back(
+            run_candidate(model, request_, ctx, temperature, rng, deadline, nullptr));
         // Closed-loop self-repair (DESIGN.md §13): distill the latest pass's
         // failure evidence into a hint, damp the hinted axes, regenerate.
         // Round r's RNG depends only on (unit_seed, r), and its hint only on
         // rounds 0..r-1, so round sequences are prefix-stable across
         // max_rounds settings — pass@k is monotone in rounds by construction.
-        // A fault inside any round retries the whole unit like before.
-        std::vector<UnitOutcome> rounds;
-        auto last = [&]() -> const UnitOutcome& {
-          return rounds.empty() ? stats : rounds.back();
-        };
-        while (policy.admits_round(static_cast<int>(rounds.size()),
-                                   1 + static_cast<int>(rounds.size()))) {
-          const UnitOutcome& prev = last();
+        // A fault inside any round retries or faults the whole unit.
+        const repair::FeedbackBuilder feedback;
+        while (policy.admits_round(static_cast<int>(out.passes.size()) - 1,
+                                   static_cast<int>(out.passes.size()))) {
+          const CachedVerdict& prev = out.passes.back().verdict;
           if (policy.stop_on_pass && prev.func_ok) break;
           repair::Evidence evidence;
           evidence.passed = prev.func_ok;
@@ -679,87 +541,34 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
           evidence.fail_reason = prev.fail_reason;
           const llm::AxisDamping damping =
               repair::damping_for(feedback.distill(evidence), policy.efficacy);
-          const std::uint64_t round = static_cast<std::uint64_t>(rounds.size()) + 1;
+          const auto round = static_cast<std::uint64_t>(out.passes.size());
           util::Rng round_rng(unit_seed ^ (0x8bb84b93962eacc9ULL * round));
-          UnitOutcome pass;
-          run_candidate(model, suite.tasks[task_i], temperature, request_.use_sicot, cot_model,
-                        round_rng, &pass, deadline, request_.sim_step_budget,
-                        request_.sim_backend, lint_enabled ? &lint_run : nullptr,
-                        result_cache != nullptr ? &cache_runs[task_i] : nullptr,
-                        prove_enabled ? &prove_runs[task_i] : nullptr, &damping);
-          rounds.push_back(std::move(pass));
+          out.passes.push_back(
+              run_candidate(model, request_, ctx, temperature, round_rng, deadline, &damping));
         }
-        if (rounds.empty()) return stats;
-
-        // Merge: the verdict is the first passing pass (else the last). The
-        // merged outcome carries that pass's flags/findings/witness; every
-        // superseded pass folds its pipeline buckets into `prior` so the
-        // reducer's accounting identity extends exactly by repair_rounds.
-        std::vector<UnitOutcome*> passes;
-        passes.reserve(rounds.size() + 1);
-        passes.push_back(&stats);
-        for (UnitOutcome& r : rounds) passes.push_back(&r);
-        std::size_t verdict_i = passes.size() - 1;
-        for (std::size_t p = 0; p < passes.size(); ++p) {
-          if (passes[p]->func_ok) {
-            verdict_i = p;
+        out.verdict = out.passes.size() - 1;
+        for (std::size_t p = 0; p < out.passes.size(); ++p) {
+          if (out.passes[p].verdict.func_ok) {
+            out.verdict = p;
             break;
           }
         }
-        const bool round0_refined = stats.refined;
-        double gen_s = 0, comp_s = 0, lint_s = 0, prove_s = 0, sim_s = 0;
-        for (const UnitOutcome* p : passes) {
-          gen_s += p->generate_seconds;
-          comp_s += p->compile_seconds;
-          lint_s += p->lint_seconds;
-          prove_s += p->prove_seconds;
-          sim_s += p->sim_seconds;
-        }
-        UnitOutcome merged = std::move(*passes[verdict_i]);
-        for (std::size_t p = 0; p < passes.size(); ++p) {
-          if (p == verdict_i) continue;
-          const UnitOutcome& pass = *passes[p];
-          if (pass.cache_hit) {
-            ++merged.prior.cache_hits;
-          } else {
-            if (result_cache != nullptr) ++merged.prior.cache_misses;
-            merged.prior.compile_failures += !pass.syntax_ok;
-            merged.prior.sim_mismatches += pass.syntax_ok && !pass.func_ok;
-            merged.prior.lint_triaged += pass.triaged;
-            merged.prior.proven_equiv += pass.proved && pass.func_ok;
-            merged.prior.proven_inequiv += pass.proved && !pass.func_ok;
-            merged.prior.prove_fallback += pass.prove_fallback;
-            merged.prior.simulated += pass.simulated;
-            merged.prior.sim_vectors += pass.sim_vectors;
-          }
-        }
-        merged.refined = round0_refined;
-        merged.attempts = attempt + 1;
-        merged.generate_seconds = gen_s;
-        merged.compile_seconds = comp_s;
-        merged.lint_seconds = lint_s;
-        merged.prove_seconds = prove_s;
-        merged.sim_seconds = sim_s;
-        merged.repair_rounds = static_cast<int>(rounds.size());
-        merged.repaired = merged.func_ok && verdict_i >= 1;
-        merged.repair_exhausted = !merged.func_ok;
-        return merged;
+        return out;
       } catch (const std::exception& e) {
         if (attempt < max_retries && request_.retry.should_retry(e)) {
           const int backoff = request_.retry.backoff_ms(attempt);
           if (backoff > 0) std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
           continue;
         }
-        stats.faulted = true;
-        stats.fault_kind = classify_fault(e);
-        stats.fault_what = e.what();
-        return stats;
+        out.fault_kind = classify_fault(e);
+        out.fault_what = e.what();
       } catch (...) {
-        stats.faulted = true;
-        stats.fault_kind = FaultKind::kException;
-        stats.fault_what = "unknown non-standard exception";
-        return stats;
+        out.fault_kind = FaultKind::kException;
+        out.fault_what = "unknown non-standard exception";
       }
+      out.faulted = true;
+      out.passes.clear();
+      return out;
     }
   };
 
@@ -851,6 +660,10 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
     run_on_pool(pool, /*owned=*/true);
   }
 
+  // The one reducer. A faulted unit counts under unit_faults alone; every
+  // pass of any other unit lands in exactly one pipeline bucket, so the
+  // accounting identity (counters_consistent) holds by construction. The
+  // verdict pass alone carries the unit's tallies and lint findings.
   EvalCounters counters;
   std::vector<UnitFault> faults;
   LintSummary lint_summary;
@@ -862,57 +675,51 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
     ++counters.candidates;
     counters.retries += u.attempts - 1;
     if (u.faulted) {
-      // A faulted unit's partial stage results are discarded: it counts
-      // toward candidates/unit_faults only and scores as a total failure.
       ++counters.unit_faults;
       counters.deadline_exceeded += u.fault_kind == FaultKind::kDeadline;
       counters.cycles_aborted += u.fault_kind == FaultKind::kSimBudget;
       faults.push_back(make_fault(i, u));
       continue;
     }
-    counters.sicot_refinements += u.refined;
-    counters.lint_findings += static_cast<std::int64_t>(u.findings.size());
-    counters.generate_seconds += u.generate_seconds;
-    counters.compile_seconds += u.compile_seconds;
-    counters.lint_seconds += u.lint_seconds;
-    counters.prove_seconds += u.prove_seconds;
-    counters.sim_seconds += u.sim_seconds;
-    if (u.cache_hit) {
-      // A hit replays the verdict without running compile/lint/simulate: it
-      // lands in its own accounting bucket and nowhere else. The lint block
-      // below still runs — findings replay bit-identically from the cache.
-      ++counters.cache_hits;
-    } else {
+    counters.sicot_refinements += u.passes.front().refined;
+    for (const PassRecord& pass : u.passes) {
+      counters.generate_seconds += pass.generate_seconds;
+      counters.compile_seconds += pass.compile_seconds;
+      counters.lint_seconds += pass.lint_seconds;
+      counters.prove_seconds += pass.prove_seconds;
+      counters.sim_seconds += pass.sim_seconds;
+      const CachedVerdict& v = pass.verdict;
+      if (pass.cache_hit) {
+        // A hit replays its verdict without running the pipeline: it lands
+        // in its own bucket and nowhere else.
+        ++counters.cache_hits;
+        continue;
+      }
       if (result_cache != nullptr) ++counters.cache_misses;
-      counters.compile_failures += !u.syntax_ok;
-      counters.sim_mismatches += u.syntax_ok && !u.func_ok;
-      counters.lint_triaged += u.triaged;
-      counters.proven_equiv += u.proved && u.func_ok;
-      counters.proven_inequiv += u.proved && !u.func_ok;
-      counters.prove_fallback += u.prove_fallback;
-      counters.simulated += u.simulated;
-      counters.sim_vectors += u.sim_vectors;
+      if (!v.syntax_ok) {
+        ++counters.compile_failures;
+      } else if (v.triaged) {
+        ++counters.lint_triaged;
+      } else if (v.proved) {
+        ++(v.func_ok ? counters.proven_equiv : counters.proven_inequiv);
+      } else {
+        ++counters.simulated;
+      }
+      counters.sim_mismatches += v.syntax_ok && !v.func_ok;
+      counters.prove_fallback += v.prove_fallback;
+      counters.sim_vectors += v.sim_vectors;
     }
-    // Superseded repair passes (folded by the unit) land in the same buckets
-    // as live passes, extending the identity's LHS by exactly repair_rounds.
-    counters.compile_failures += u.prior.compile_failures;
-    counters.sim_mismatches += u.prior.sim_mismatches;
-    counters.lint_triaged += u.prior.lint_triaged;
-    counters.proven_equiv += u.prior.proven_equiv;
-    counters.proven_inequiv += u.prior.proven_inequiv;
-    counters.prove_fallback += u.prior.prove_fallback;
-    counters.simulated += u.prior.simulated;
-    counters.sim_vectors += u.prior.sim_vectors;
-    counters.cache_hits += u.prior.cache_hits;
-    counters.cache_misses += u.prior.cache_misses;
-    counters.repair_rounds += u.repair_rounds;
-    counters.repaired_pass += u.repaired;
-    counters.repair_exhausted += u.repair_exhausted;
+    const CachedVerdict& verdict = u.passes[u.verdict].verdict;
+    const auto rounds = static_cast<std::int64_t>(u.passes.size()) - 1;
+    counters.repair_rounds += rounds;
+    counters.repaired_pass += verdict.func_ok && u.verdict >= 1;
+    counters.repair_exhausted += rounds > 0 && !verdict.func_ok;
+    counters.lint_findings += static_cast<std::int64_t>(verdict.findings.size());
 
     if (!lint_enabled) continue;
     bool flagged = false;
     std::uint32_t axis_mask = 0;
-    for (const lint::Finding& f : u.findings) {
+    for (const lint::Finding& f : verdict.findings) {
       flagged |= f.predicts_failure;
       ++lint_summary.rule_counts[lint::rule_id(f.rule)];
       if (f.diag.severity != verilog::Severity::kNote) {
@@ -927,8 +734,8 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
     // Confusion vs the simulated verdict (compiled candidates only: compile
     // failures have no testbench ground truth). Triaged candidates are true
     // positives by the soundness argument.
-    if (u.syntax_ok) {
-      const bool failed = !u.func_ok;
+    if (verdict.syntax_ok) {
+      const bool failed = !verdict.func_ok;
       if (flagged && failed) {
         ++lint_summary.true_positives;
       } else if (flagged) {
@@ -939,7 +746,7 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
         ++lint_summary.true_negatives;
       }
     }
-    if (!u.findings.empty()) {
+    if (!verdict.findings.empty()) {
       std::size_t ti = 0, task_i = 0;
       int s = 0;
       decode(i, ti, task_i, s);
@@ -947,16 +754,14 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
       cf.task_id = suite.tasks[task_i].id;
       cf.sample = s;
       cf.temperature = request_.temperatures[ti];
-      cf.findings = u.findings;
+      cf.findings = verdict.findings;
       candidate_findings.push_back(std::move(cf));
     }
   }
   lint_summary.findings = counters.lint_findings;
 
-  // The accounting identity is enforced HERE, once, where the buckets are
-  // filled (debug builds). Tests assert counters_consistent() on results
-  // instead of re-deriving the sum per call site; the diagnostic names the
-  // specific violated term(s) so a broken build fails loudly, not opaquely.
+  // Debug builds re-check the identity the reducer builds, naming any
+  // violated term, so a broken build fails loudly, not opaquely.
 #ifndef NDEBUG
   if (const std::string broken = counters_inconsistency(counters); !broken.empty()) {
     std::fprintf(stderr, "EvalCounters accounting identity violated: %s\n", broken.c_str());
@@ -984,8 +789,8 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
         // Faulted units score as total failures even when an earlier stage
         // succeeded before the fault (e.g. compiled, then sim deadline blew).
         if (u.faulted) continue;
-        tr.syntax_pass += u.syntax_ok;
-        tr.func_pass += u.func_ok;
+        tr.syntax_pass += u.passes[u.verdict].verdict.syntax_ok;
+        tr.func_pass += u.passes[u.verdict].verdict.func_ok;
       }
       result.per_task.push_back(std::move(tr));
     }

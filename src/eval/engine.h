@@ -37,9 +37,8 @@
 //    + the stimulus stream. A hit replays the stored verdict (including lint
 //    findings) bit-identically; verdicts, pass@k, and the lint block of a
 //    warm run equal the cold run's exactly, at any thread count. Hits land
-//    in EvalCounters::cache_hits, extending the accounting identity to
-//    candidates == unit_faults + compile_failures + lint_triaged + simulated
-//    + cache_hits.
+//    in EvalCounters::cache_hits, one bucket of the accounting identity
+//    (see counters_consistent below).
 #pragma once
 
 #include <array>
@@ -59,7 +58,6 @@
 #include "repair/repair.h"
 #include "symbolic/modality.h"
 #include "util/retry.h"
-#include "util/rng.h"
 
 namespace haven::util {
 class ThreadPool;
@@ -118,83 +116,71 @@ class EvalAborted : public std::runtime_error {
 // run (all temperatures) and are deterministic for a fixed seed; the timing
 // fields are measured and vary run to run. Stage times are summed across
 // workers (CPU-style accounting): with N threads busy they can exceed
-// wall_seconds by up to a factor of N.
+// wall_seconds by up to a factor of N. A "pass" is one run of the candidate
+// pipeline: round 0 of a work unit or one of its repair rounds. How the
+// counters balance is stated once, at counters_consistent() below.
 struct EvalCounters {
-  std::int64_t candidates = 0;         // generation attempts (= temps*tasks*n)
-  std::int64_t compile_failures = 0;   // candidates rejected by the compiler
-  std::int64_t sim_mismatches = 0;     // compiled candidates failing diff-sim
+  std::int64_t candidates = 0;         // work units (= temps*tasks*n)
+  std::int64_t compile_failures = 0;   // passes rejected by the compiler
+  std::int64_t sim_mismatches = 0;     // compiled passes that failed (any stage)
   std::int64_t sicot_refinements = 0;  // prompts SI-CoT actually transformed
-  // Fault-tolerance block. Invariant at any injection rate / thread count:
-  //   candidates == unit_faults + compile_failures + sim_mismatches + func passes
-  // (single-temperature runs; multi-temperature runs sum across temps).
+  // Fault tolerance (DESIGN.md §7).
   std::int64_t unit_faults = 0;        // terminally faulted units (retries exhausted)
   std::int64_t deadline_exceeded = 0;  // unit faults that were deadline blows
   std::int64_t cycles_aborted = 0;     // unit faults that were sim-budget blows
   std::int64_t retries = 0;            // retry attempts performed (beyond first tries)
-  // Lint/triage block (see DESIGN.md §8). Invariant at any thread count:
-  //   candidates == unit_faults + compile_failures + lint_triaged + simulated
+  // Lint and triage (DESIGN.md §8).
   std::int64_t lint_findings = 0;      // findings across all linted candidates
-  std::int64_t lint_triaged = 0;       // candidates failed by proof, sim skipped
-  std::int64_t simulated = 0;          // candidates that ran the diff testbench
+  std::int64_t lint_triaged = 0;       // passes failed by a lint proof, sim skipped
+  std::int64_t simulated = 0;          // passes that ran the diff testbench
   std::int64_t sim_vectors = 0;        // vectors/cycles actually compared
-  // Formal equivalence fast-path block (see DESIGN.md §12). With proving on,
-  // the accounting identity extends to
-  //   candidates == unit_faults + compile_failures + lint_triaged
-  //                 + proven_equiv + proven_inequiv + simulated + cache_hits
-  // (a proven candidate's verdict is decided with zero simulation; an
-  // unsupported or budget-blown proof falls back to the testbench, counted
-  // under both prove_fallback and simulated).
-  std::int64_t proven_equiv = 0;    // candidates proven equivalent (func pass)
-  std::int64_t proven_inequiv = 0;  // candidates proven inequivalent (func fail)
+  // Formal equivalence fast-path (DESIGN.md §12). A proven pass is decided
+  // with zero simulation; an unsupported or budget-blown proof falls back to
+  // the testbench and counts under both prove_fallback and simulated.
+  std::int64_t proven_equiv = 0;    // passes proven equivalent (func pass)
+  std::int64_t proven_inequiv = 0;  // passes proven inequivalent (func fail)
   std::int64_t prove_fallback = 0;  // prove attempts that deferred to simulation
-  // Self-repair block (see DESIGN.md §13). Each repair round is one extra
-  // pass of the candidate pipeline, so with repair enabled the accounting
-  // identity extends on the LEFT side:
-  //   candidates + repair_rounds == unit_faults + compile_failures
-  //                 + lint_triaged + proven_equiv + proven_inequiv
-  //                 + simulated + cache_hits
-  // (every pass — round 0 or repair round — lands in exactly one pipeline
-  // bucket; a faulted unit discards its partial repair tallies and counts
-  // under unit_faults alone). Corollary:
-  //   repaired_pass + repair_exhausted <= repair_rounds.
+  // Self-repair (DESIGN.md §13). Each repair round is one more pass.
   std::int64_t repair_rounds = 0;     // repair passes run (0 when repair off)
   std::int64_t repaired_pass = 0;     // candidates that failed round 0, then passed
   std::int64_t repair_exhausted = 0;  // candidates still failing after >= 1 round
-  // Result-cache block (see DESIGN.md §9). With caching on, the accounting
-  // identity extends to
-  //   candidates == unit_faults + compile_failures + lint_triaged + simulated
-  //                 + cache_hits
-  // (a hit replays its verdict without touching the pipeline buckets), and
-  //   cache_hits + cache_misses == candidates - unit_faults.
-  // hits/misses are deterministic for a fixed seed at any thread count;
-  // evictions and bytes depend on insertion interleaving once the capacity
-  // binds, and on what earlier runs left in a shared cache.
-  std::int64_t cache_hits = 0;       // candidates replayed from the cache
-  std::int64_t cache_misses = 0;     // candidates that ran the pipeline (cache on)
+  // Result cache (DESIGN.md §9). hits/misses are deterministic for a fixed
+  // seed at any thread count; evictions and bytes depend on insertion
+  // interleaving once the capacity binds, and on what earlier runs left in a
+  // shared cache.
+  std::int64_t cache_hits = 0;       // passes replayed from the cache
+  std::int64_t cache_misses = 0;     // passes that ran the pipeline (cache on)
   std::int64_t cache_evictions = 0;  // LRU evictions during this run
   std::int64_t cache_bytes = 0;      // resident payload bytes after the run
-  double generate_seconds = 0.0;       // SI-CoT refine + candidate generation
-  double compile_seconds = 0.0;        // syntax checking
-  double lint_seconds = 0.0;           // static analysis (0 when lint is off)
-  double prove_seconds = 0.0;          // equivalence proving (0 when prove off)
-  double sim_seconds = 0.0;            // differential simulation
-  double wall_seconds = 0.0;           // whole-run wall clock
-  double cpu_seconds = 0.0;            // whole-run process CPU time
+  // Stage times. Each candidate is parsed once, under compile; the other
+  // stages include no parsing. A task's one golden parse is billed to no
+  // stage.
+  double generate_seconds = 0.0;  // SI-CoT refine + candidate generation
+  double compile_seconds = 0.0;   // parse + semantic analysis of each candidate
+  double lint_seconds = 0.0;      // lint rules on the parsed candidate (0 when lint is off)
+  double prove_seconds = 0.0;     // equivalence proofs (0 when prove is off)
+  double sim_seconds = 0.0;       // elaborate, compile and run the diff testbench
+  double wall_seconds = 0.0;      // whole-run wall clock
+  double cpu_seconds = 0.0;       // whole-run process CPU time
   int threads_used = 1;
 };
 
-// THE accounting identity, asserted centrally by the reducer (debug builds)
-// and reusable by tests instead of re-deriving it per call site:
+// THE accounting identity, stated in full only here and in DESIGN.md §7;
+// everything else points to these. Every pass lands in exactly one bucket:
 //   candidates + repair_rounds == unit_faults + compile_failures
 //                 + lint_triaged + proven_equiv + proven_inequiv
 //                 + simulated + cache_hits
-// plus the structural corollaries (fault sub-kinds never exceed unit_faults;
-// prove_fallback never exceeds simulated; with a cache attached,
-// hits + misses == candidates + repair_rounds - unit_faults;
-// repaired_pass + repair_exhausted never exceed repair_rounds). Holds at any
-// thread count, injection rate, lint mode, prove mode, repair policy, and
-// cache state. With repair off, repair_rounds == 0 and the identity is
-// exactly the historical one.
+// A faulted unit counts under unit_faults alone: its passes, repair rounds
+// included, are discarded. Corollaries:
+//   deadline_exceeded + cycles_aborted <= unit_faults
+//   prove_fallback <= simulated
+//   cache_hits + cache_misses == candidates + repair_rounds - unit_faults
+//       (with a cache attached; with none, both are 0)
+//   repaired_pass + repair_exhausted <= repair_rounds
+// All of it holds at any thread count, injection rate, lint mode, prove
+// mode, repair policy and cache state. evaluate()'s reducer builds the
+// identity by filing each pass once and asserts this check in debug builds;
+// tests call it instead of re-deriving the sum.
 bool counters_consistent(const EvalCounters& c);
 
 // Diagnosable form of the same check: "" when every term holds, otherwise a
@@ -258,13 +244,6 @@ struct SuiteResult {
   // Per-modality pass counts (Table V rows): {passed, total} at pass@1
   // semantics, counting a task as passed if >= 1 of n samples passed.
   std::pair<int, int> modality_pass(symbolic::Modality m) const;
-};
-
-// Single-candidate outcome: (syntax_ok, func_ok, candidate_source).
-struct CandidateOutcome {
-  bool syntax_ok = false;
-  bool func_ok = false;
-  std::string source;
 };
 
 // Progress snapshot handed to EvalRequest::on_progress after each work unit
@@ -405,10 +384,6 @@ class EvalRequest {
   EvalRequest& with_seed(std::uint64_t s) { seed = s; return *this; }
   EvalRequest& with_threads(int n) { threads = n; return *this; }
   EvalRequest& with_pool(util::ThreadPool* p) { pool = p; return *this; }
-  EvalRequest& with_progress(ProgressCallback cb) {
-    on_progress = std::move(cb);
-    return *this;
-  }
   EvalRequest& with_lint(bool on = true) { lint = on; return *this; }
   EvalRequest& with_lint_triage(bool on = true) { lint_triage = on; return *this; }
   EvalRequest& with_prove(bool on = true) { prove = on; return *this; }
@@ -430,18 +405,15 @@ class EvalRequest {
     return *this;
   }
   EvalRequest& with_cache(cache::ResultCache* c) { cache = c; return *this; }
-  EvalRequest& with_fail_fast(bool on = true) { fail_fast = on; return *this; }
   EvalRequest& with_deadline_ms(int ms) { deadline_ms = ms; return *this; }
   EvalRequest& with_sim_budget(std::uint64_t steps) {
     sim_step_budget = steps;
     return *this;
   }
-  EvalRequest& with_sim_backend(sim::SimBackend b) { sim_backend = b; return *this; }
   EvalRequest& with_retries(int max_retries) {
     retry.max_retries = max_retries;
     return *this;
   }
-  EvalRequest& with_cot_model(const llm::SimLlm& model) { return set_cot_model(model); }
 
   // CoT prompting model for SI-CoT. The reference is NON-OWNING: the caller
   // keeps the model alive for as long as this request (and any EvalEngine
@@ -477,15 +449,6 @@ class EvalEngine {
   // return the best by functional pass@1 (first wins on ties), with the
   // run-wide counter block attached.
   SuiteResult evaluate(const llm::SimLlm& model, const Suite& suite) const;
-
-  // Generate and check a single candidate with the request's SI-CoT
-  // settings, drawing from the caller's rng. Exposed for tests, examples,
-  // and microbenchmarks. Lint/triage, prove, and repair settings are ignored
-  // here (building a reference profile / deciding prove eligibility /
-  // driving the repair loop is evaluate()'s per-task job); the verdict is
-  // always the single-shot simulated one.
-  CandidateOutcome check(const llm::SimLlm& model, const EvalTask& task, double temperature,
-                         util::Rng& rng) const;
 
  private:
   EvalRequest request_;

@@ -1,6 +1,7 @@
 #include "eval/options.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -13,14 +14,26 @@ namespace {
 // One entry per flag: the spec both drives parse() and renders the help
 // text, so a flag and its documentation cannot drift apart. `value` is the
 // placeholder shown in help (null = boolean flag). `apply` mutates the
-// options; it reports malformed values by filling *error and returning
-// false (parse() turns that into a usage error, exit 2).
+// options; it reports a malformed value by returning false, with *error
+// filled or left empty for the generic message (parse() turns either into
+// a usage error, exit 2). Numbers go through the strict util::parse_*, so a
+// malformed value is never read as zero or as its numeric prefix.
 struct FlagSpec {
   const char* name;   // including the leading "--"
   const char* value;  // e.g. "N"; nullptr for boolean flags
   const char* help;   // one-line description for --help
   bool (*apply)(RequestOptions& o, const char* v, std::string* error);
 };
+
+bool parse_int(const char* v, int* out) {
+  long long i = 0;
+  if (!util::parse_i64(v, &i) || i < INT_MIN || i > INT_MAX) return false;
+  *out = static_cast<int>(i);
+  return true;
+}
+
+// [0, 1], written so that NaN fails too.
+bool is_unit_interval(double x) { return x >= 0.0 && x <= 1.0; }
 
 const FlagSpec kFlags[] = {
     {"--fast", nullptr, "CI-friendly protocol: n=5, single temperature 0.2",
@@ -32,8 +45,7 @@ const FlagSpec kFlags[] = {
      }},
     {"--n", "N", "samples per task (pass@k needs k <= n)",
      [](RequestOptions& o, const char* v, std::string* error) {
-       o.n_samples = std::atoi(v);
-       if (o.n_samples <= 0) {
+       if (!parse_int(v, &o.n_samples) || o.n_samples <= 0) {
          *error = "--n wants a positive sample count";
          return false;
        }
@@ -43,8 +55,11 @@ const FlagSpec kFlags[] = {
      [](RequestOptions& o, const char* v, std::string* error) {
        o.temperatures.clear();
        for (const std::string& field : util::split(v, ',')) {
-         if (util::trim(field).empty()) continue;
-         o.temperatures.push_back(std::atof(field.c_str()));
+         const std::string item(util::trim(field));
+         double t = 0.0;
+         if (item.empty()) continue;
+         if (!util::parse_f64(item, &t)) return false;
+         o.temperatures.push_back(t);
        }
        if (o.temperatures.empty()) {
          *error = "--temps wants e.g. 0.2,0.5,0.8";
@@ -54,8 +69,7 @@ const FlagSpec kFlags[] = {
      }},
     {"--seed", "N", "base evaluation seed",
      [](RequestOptions& o, const char* v, std::string*) {
-       o.seed = std::strtoull(v, nullptr, 10);
-       return true;
+       return util::parse_u64(v, &o.seed);
      }},
     {"--sicot", nullptr, "refine prompts through the SI-CoT pipeline",
      [](RequestOptions& o, const char*, std::string*) {
@@ -68,10 +82,7 @@ const FlagSpec kFlags[] = {
        return true;
      }},
     {"--threads", "N", "worker threads (0 = one per hardware thread)",
-     [](RequestOptions& o, const char* v, std::string*) {
-       o.threads = std::atoi(v);
-       return true;
-     }},
+     [](RequestOptions& o, const char* v, std::string*) { return parse_int(v, &o.threads); }},
     {"--serial", nullptr, "single-threaded evaluation (= --threads=1)",
      [](RequestOptions& o, const char*, std::string*) {
        o.threads = 1;
@@ -79,14 +90,10 @@ const FlagSpec kFlags[] = {
      }},
     {"--deadline-ms", "N", "per-attempt wall-clock deadline (0 = none)",
      [](RequestOptions& o, const char* v, std::string*) {
-       o.deadline_ms = std::atoi(v);
-       return true;
+       return parse_int(v, &o.deadline_ms);
      }},
     {"--retries", "N", "transient-fault retries per work unit",
-     [](RequestOptions& o, const char* v, std::string*) {
-       o.retries = std::atoi(v);
-       return true;
-     }},
+     [](RequestOptions& o, const char* v, std::string*) { return parse_int(v, &o.retries); }},
     {"--fail-fast", nullptr, "abort the run on the first faulted unit",
      [](RequestOptions& o, const char*, std::string*) {
        o.fail_fast = true;
@@ -94,8 +101,7 @@ const FlagSpec kFlags[] = {
      }},
     {"--sim-budget", "N", "simulation step budget per candidate (0 = unbounded)",
      [](RequestOptions& o, const char* v, std::string*) {
-       o.sim_step_budget = std::strtoull(v, nullptr, 10);
-       return true;
+       return util::parse_u64(v, &o.sim_step_budget);
      }},
     {"--sim-backend", "interp|compiled", "simulator backend (verdict-identical)",
      [](RequestOptions& o, const char* v, std::string* error) {
@@ -108,14 +114,16 @@ const FlagSpec kFlags[] = {
        return false;
      }},
     {"--inject", "P", "chaos-mode fault probability per site",
-     [](RequestOptions& o, const char* v, std::string*) {
-       o.inject = std::atof(v);
+     [](RequestOptions& o, const char* v, std::string* error) {
+       if (!util::parse_f64(v, &o.inject) || !is_unit_interval(o.inject)) {
+         *error = "--inject wants a probability in [0, 1]";
+         return false;
+       }
        return true;
      }},
     {"--inject-seed", "N", "chaos-mode injection seed",
      [](RequestOptions& o, const char* v, std::string*) {
-       o.inject_seed = std::strtoull(v, nullptr, 10);
-       return true;
+       return util::parse_u64(v, &o.inject_seed);
      }},
     {"--lint", nullptr, "lint candidates against the golden reference profile",
      [](RequestOptions& o, const char*, std::string*) {
@@ -145,13 +153,11 @@ const FlagSpec kFlags[] = {
      }},
     {"--prove-budget", "N", "BDD node budget per proof (0 = unbounded)",
      [](RequestOptions& o, const char* v, std::string*) {
-       o.prove_budget = std::strtoull(v, nullptr, 10);
-       return true;
+       return util::parse_u64(v, &o.prove_budget);
      }},
     {"--repair-rounds", "N", "self-repair rounds per failed candidate (0 = off)",
      [](RequestOptions& o, const char* v, std::string* error) {
-       o.repair_rounds = std::atoi(v);
-       if (o.repair_rounds < 0) {
+       if (!parse_int(v, &o.repair_rounds) || o.repair_rounds < 0) {
          *error = "--repair-rounds wants an integer >= 0";
          return false;
        }
@@ -159,8 +165,7 @@ const FlagSpec kFlags[] = {
      }},
     {"--repair-budget", "N", "total generations per candidate incl. round 0 (0 = rounds only)",
      [](RequestOptions& o, const char* v, std::string* error) {
-       o.repair_budget = std::atoi(v);
-       if (o.repair_budget < 0) {
+       if (!parse_int(v, &o.repair_budget) || o.repair_budget < 0) {
          *error = "--repair-budget wants an integer >= 0";
          return false;
        }
@@ -168,8 +173,7 @@ const FlagSpec kFlags[] = {
      }},
     {"--repair-efficacy", "F", "repair feedback efficacy factor in [0,1]",
      [](RequestOptions& o, const char* v, std::string* error) {
-       o.repair_efficacy = std::atof(v);
-       if (o.repair_efficacy < 0.0 || o.repair_efficacy > 1.0) {
+       if (!util::parse_f64(v, &o.repair_efficacy) || !is_unit_interval(o.repair_efficacy)) {
          *error = "--repair-efficacy wants a number in [0, 1]";
          return false;
        }
@@ -193,7 +197,9 @@ const FlagSpec kFlags[] = {
      }},
     {"--cache-mb", "N", "result-cache budget in MiB",
      [](RequestOptions& o, const char* v, std::string*) {
-       o.cache_mb = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+       std::uint64_t mb = 0;
+       if (!util::parse_u64(v, &mb)) return false;
+       o.cache_mb = static_cast<std::size_t>(mb);
        return true;
      }},
     {"--bench-json", "PATH", "append a machine-readable run record",
@@ -260,7 +266,11 @@ RequestOptions RequestOptions::parse(int argc, char** argv,
     }
     if (matched != nullptr) {
       std::string error;
-      if (!matched->apply(options, value, &error)) usage_error(error);
+      if (!matched->apply(options, value, &error)) {
+        usage_error(error.empty() ? util::format("%s wants %s, not '%s'", matched->name,
+                                                 matched->value, value)
+                                  : error);
+      }
     } else if (leftover != nullptr) {
       leftover->push_back(arg);
     } else if (std::strncmp(arg, "--", 2) == 0) {

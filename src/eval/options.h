@@ -68,7 +68,8 @@ struct RequestOptions {
 
   // Parse argv. Unknown arguments go to *leftover when provided (in argv
   // order); otherwise unknown "--flags" are a usage error. Malformed values
-  // (e.g. a bad --sim-backend) always error out with exit code 2. "--help"
+  // (a bad --sim-backend, a number that does not parse in full, a value out
+  // of its range) always error out with exit code 2. "--help"
   // prints the full per-flag help (rendered from the same flag-spec table
   // that drives parsing, so the two cannot drift) and exits 0.
   static RequestOptions parse(int argc, char** argv,

@@ -1,9 +1,7 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -45,38 +43,6 @@ std::string result_line(const std::string& id_field, const eval::SuiteResult& re
       cache::to_hex(verdict_digest(result)).c_str());
 }
 
-// Strict numeric knob parsing: the whole value must be consumed and errno
-// clean, so "n=abc" is an ERR instead of a silent zero-unit job.
-bool parse_i64(const std::string& s, long long* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_f64(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 bool parse_job(const std::string& tenant, const std::string& model_name,
@@ -112,7 +78,7 @@ bool parse_job(const std::string& tenant, const std::string& model_name,
     long long i = 0;
     std::uint64_t u = 0;
     if (key == "n") {
-      if (!parse_i64(value, &i) || i < 1 || i > kIntMax) return bad("an integer >= 1");
+      if (!util::parse_i64(value, &i) || i < 1 || i > kIntMax) return bad("an integer >= 1");
       job.request.n_samples = static_cast<int>(i);
     } else if (key == "temps") {
       std::vector<double> temps;
@@ -120,34 +86,34 @@ bool parse_job(const std::string& tenant, const std::string& model_name,
         const std::string trimmed{util::trim(field)};
         if (trimmed.empty()) continue;
         double t = 0.0;
-        if (!parse_f64(trimmed, &t)) return bad("a comma-separated list of numbers");
+        if (!util::parse_f64(trimmed, &t)) return bad("a comma-separated list of numbers");
         temps.push_back(t);
       }
       if (temps.empty()) return bad("a comma-separated list of numbers");
       job.request.temperatures = std::move(temps);
     } else if (key == "seed") {
-      if (!parse_u64(value, &u)) return bad("an unsigned integer");
+      if (!util::parse_u64(value, &u)) return bad("an unsigned integer");
       job.request.seed = u;
     } else if (key == "tasks") {
-      if (!parse_u64(value, &u) || u < 1) return bad("an integer >= 1");
+      if (!util::parse_u64(value, &u) || u < 1) return bad("an integer >= 1");
       if (job.suite.tasks.size() > u) job.suite.tasks.resize(u);
     } else if (key == "sicot") {
-      if (!parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
+      if (!util::parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
       job.request.use_sicot = i != 0;
     } else if (key == "lint") {
-      if (!parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
+      if (!util::parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
       job.request.lint = i != 0;
     } else if (key == "triage") {
-      if (!parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
+      if (!util::parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
       job.request.lint_triage = i != 0;
     } else if (key == "deadline") {
-      if (!parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("milliseconds >= 0");
+      if (!util::parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("milliseconds >= 0");
       job.deadline_ms = static_cast<int>(i);
     } else if (key == "unit-deadline") {
-      if (!parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("milliseconds >= 0");
+      if (!util::parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("milliseconds >= 0");
       job.request.deadline_ms = static_cast<int>(i);
     } else if (key == "budget") {
-      if (!parse_u64(value, &u)) return bad("an unsigned integer");
+      if (!util::parse_u64(value, &u)) return bad("an unsigned integer");
       job.request.sim_step_budget = u;
     } else if (key == "backend") {
       // Validated, never silently defaulted: an unknown backend is an ERR
@@ -158,35 +124,35 @@ bool parse_job(const std::string& tenant, const std::string& model_name,
         return bad(std::string(sim::kBackendValues).c_str());
       }
     } else if (key == "prove") {
-      if (!parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
+      if (!util::parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
       job.request.prove = i != 0;
     } else if (key == "prove-budget") {
-      if (!parse_u64(value, &u)) return bad("an unsigned integer");
+      if (!util::parse_u64(value, &u)) return bad("an unsigned integer");
       job.request.prove_budget = u;
     } else if (key == "repair") {
       // repair=1 turns the loop on with the default round count unless
       // repair-rounds= already picked one; repair=0 forces it off.
-      if (!parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
+      if (!util::parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
       if (i == 0) {
         job.request.repair.max_rounds = 0;
       } else if (job.request.repair.max_rounds == 0) {
         job.request.repair.max_rounds = 2;
       }
     } else if (key == "repair-rounds") {
-      if (!parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("an integer >= 0");
+      if (!util::parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("an integer >= 0");
       job.request.repair.max_rounds = static_cast<int>(i);
     } else if (key == "repair-budget") {
-      if (!parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("an integer >= 0");
+      if (!util::parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("an integer >= 0");
       job.request.repair.attempt_budget = static_cast<int>(i);
     } else if (key == "repair-efficacy") {
       double f = 0.0;
-      if (!parse_f64(value, &f) || f < 0.0 || f > 1.0) return bad("a number in [0, 1]");
+      if (!util::parse_f64(value, &f) || f < 0.0 || f > 1.0) return bad("a number in [0, 1]");
       job.request.repair.efficacy = f;
     } else if (key == "retries") {
-      if (!parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("an integer >= 0");
+      if (!util::parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("an integer >= 0");
       job.request.retry.max_retries = static_cast<int>(i);
     } else if (key == "fail-fast") {
-      if (!parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
+      if (!util::parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
       job.request.fail_fast = i != 0;
     } else {
       *error = "unknown knob '" + key + "'";

@@ -111,8 +111,9 @@ cache::Digest job_digest(const llm::SimLlm& model, const eval::Suite& suite,
     h.bytes(task.prompt);
     h.u32(static_cast<std::uint32_t>(task.modality));
   }
-  // Result-affecting request knobs. threads/pool/on_progress/cache are
-  // scheduling-only (never change results) and deliberately excluded.
+  // Result-affecting request knobs. threads/pool/on_progress/cache and the
+  // simulator backend (verdict- and counter-identical, DESIGN.md §10) never
+  // change results and are deliberately excluded.
   h.i32(request.n_samples);
   h.u64(request.temperatures.size());
   for (double t : request.temperatures) h.u64(std::bit_cast<std::uint64_t>(t));
@@ -135,7 +136,6 @@ cache::Digest job_digest(const llm::SimLlm& model, const eval::Suite& suite,
   }
   h.i32(request.deadline_ms);
   h.u64(request.sim_step_budget);
-  h.u32(static_cast<std::uint32_t>(request.sim_backend));
   h.i32(request.retry.max_retries);
   h.boolean(request.fail_fast);
   h.boolean(request.has_cot_model());

@@ -17,9 +17,10 @@
 //    immediately. Either way the tenant's SuiteResult is bit-identical to a
 //    solo run — coalescing is sound because the engine itself is
 //    deterministic for a fixed request at any thread count. Scheduling-only
-//    knobs (threads, external pool, progress callback, cache pointer) are
-//    deliberately excluded from the digest: they never change results, so
-//    they must not prevent two tenants from sharing one computation.
+//    knobs (threads, external pool, progress callback, cache pointer,
+//    simulator backend) are deliberately excluded from the digest: they
+//    never change results, so they must not prevent two tenants from sharing
+//    one computation.
 //
 //  * Admission control. Per-tenant token buckets bound the submission rate
 //    (ServerConfig::tenant_rate / tenant_burst), and jobs carrying a
@@ -280,7 +281,7 @@ class Server {
 // Content address of one job's computation: everything that determines the
 // SuiteResult (model identity incl. hallucination profile, suite tasks via
 // their cache seeds + prompts, result-affecting request knobs) and nothing
-// that does not (threads, pool, progress, cache pointer).
+// that does not (threads, pool, progress, cache pointer, simulator backend).
 cache::Digest job_digest(const llm::SimLlm& model, const eval::Suite& suite,
                          const eval::EvalRequest& request);
 

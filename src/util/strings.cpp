@@ -1,8 +1,10 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace haven::util {
 
@@ -137,6 +139,36 @@ std::string format(const char* fmt, ...) {
   }
   va_end(args2);
   return out;
+}
+
+bool parse_i64(const std::string& s, long long* out) {
+  if (s.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool parse_u64(const std::string& s, std::uint64_t* out) {
+  if (s.empty() || s[0] == '-') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool parse_f64(const std::string& s, double* out) {
+  if (s.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  *out = v;
+  return true;
 }
 
 std::string indent(std::string_view s, int n) {

@@ -2,6 +2,7 @@
 // and allocate only when they must return owning strings.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,15 @@ bool is_identifier(std::string_view s);
 // Count whitespace-separated words; used by instruction evolution to enforce
 // the paper's "no more than ten words added or removed" constraint.
 std::size_t word_count(std::string_view s);
+
+// Strict base-10 number parsing for command-line flags and protocol knobs:
+// the whole of `s` must be consumed with errno clean, so "abc", "0x10",
+// "5%" (and "1e6" for the integer forms) fail instead of reading as zero or
+// as a prefix. On failure *out is left unchanged. parse_u64 also rejects a
+// leading '-', which strtoull would silently wrap.
+bool parse_i64(const std::string& s, long long* out);
+bool parse_u64(const std::string& s, std::uint64_t* out);
+bool parse_f64(const std::string& s, double* out);
 
 // printf-style formatting into std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

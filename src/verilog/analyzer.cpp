@@ -665,6 +665,7 @@ SourceAnalysis analyze_source(std::string_view source) {
   for (const auto& m : parsed.file.modules) {
     out.modules.push_back(analyze_module(m, &parsed.file));
   }
+  out.file = std::move(parsed.file);
   return out;
 }
 

@@ -94,6 +94,9 @@ ModuleAnalysis analyze_module(const Module& m, const SourceFile* file = nullptr)
 struct SourceAnalysis {
   std::vector<ModuleAnalysis> modules;
   std::vector<Diagnostic> parse_errors;
+  // The parse the analysis ran on, kept so a caller that goes on to lint,
+  // prove or simulate the source does not parse it a second time.
+  SourceFile file;
 
   bool ok() const {
     if (!parse_errors.empty()) return false;

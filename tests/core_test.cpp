@@ -107,7 +107,7 @@ TEST(HavenIntegration, HavenBeatsBaseModelOnHumanSuite) {
   const eval::SuiteResult base_result =
       eval::EvalEngine(base_req).evaluate(llm::make_model(llm::kBaseCodeQwen), human);
   const eval::SuiteResult haven_result =
-      eval::EvalEngine(eval::EvalRequest(base_req).with_sicot().with_cot_model(pipe.cot_model()))
+      eval::EvalEngine(eval::EvalRequest(base_req).with_sicot().set_cot_model(pipe.cot_model()))
           .evaluate(pipe.codegen_model(), human);
 
   EXPECT_GT(haven_result.pass_at(1), base_result.pass_at(1) + 0.15);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "cache/result_cache.h"
 #include "eval/engine.h"
 #include "eval/report.h"
 #include "eval/suites.h"
@@ -80,19 +82,6 @@ TEST(EvalEngine, ExternalPoolIsBitIdenticalToOwnedPool) {
   expect_same_result(serial, again);
 }
 
-TEST(EvalEngine, CheckIsDeterministicForAFixedRngSeed) {
-  const llm::SimLlm model = llm::make_model("GPT-4");
-  const Suite suite = small_rtllm(1);
-
-  util::Rng rng_a(123);
-  util::Rng rng_b(123);
-  const CandidateOutcome a = EvalEngine().check(model, suite.tasks.front(), 0.5, rng_a);
-  const CandidateOutcome b = EvalEngine().check(model, suite.tasks.front(), 0.5, rng_b);
-  EXPECT_EQ(a.source, b.source);
-  EXPECT_EQ(a.syntax_ok, b.syntax_ok);
-  EXPECT_EQ(a.func_ok, b.func_ok);
-}
-
 TEST(EvalEngine, CountersAreConsistentWithTallies) {
   const llm::SimLlm model = llm::make_model("CodeLlama");
   const Suite suite = small_rtllm(8);
@@ -147,6 +136,53 @@ TEST(EvalEngine, ProgressCallbackCoversEveryUnitInIndexOrder) {
   EXPECT_DOUBLE_EQ(seen[total / 2].temperature, 0.8);
   EXPECT_EQ(seen[0].sample, 0);
   EXPECT_EQ(seen[1].sample, 1);
+}
+
+// A task whose golden does not parse faults each of its units that reaches
+// simulation, under every knob, and leaves the other tasks' tallies as they
+// are on the unmodified suite.
+TEST(EvalEngine, UnparsableGoldenFaultsOnlyItsOwnUnits) {
+  const llm::SimLlm model = llm::make_model("GPT-4");
+  const Suite clean = small_rtllm(3);
+  Suite broken = clean;
+  broken.tasks[1].golden_source = "module broken(input a; endmodule (";
+
+  enum class Knob { kDefault, kLint, kProve, kCache, kRepair };
+  auto run = [&](Knob knob, const Suite& suite) {
+    cache::ResultCache cache{cache::CacheConfig{}};
+    EvalRequest request = EvalRequest{}.with_samples(4).with_temperature(0.2);
+    if (knob == Knob::kLint) request.with_lint();
+    if (knob == Knob::kProve) request.with_prove();
+    if (knob == Knob::kCache) request.with_cache(&cache);
+    if (knob == Knob::kRepair) request.with_repair_rounds(2);
+    return EvalEngine(request).evaluate(model, suite);
+  };
+  for (Knob knob : {Knob::kDefault, Knob::kLint, Knob::kProve, Knob::kCache, Knob::kRepair}) {
+    SCOPED_TRACE(static_cast<int>(knob));
+    const SuiteResult want = run(knob, clean);
+    const SuiteResult got = run(knob, broken);
+    // Every GPT-4 sample of the task compiles, so each one faults.
+    ASSERT_EQ(got.faults.size(), 4u);
+    for (const UnitFault& fault : got.faults) {
+      EXPECT_EQ(fault.task_id, broken.tasks[1].id);
+      EXPECT_EQ(fault.kind, FaultKind::kException);
+      EXPECT_EQ(fault.what, "golden source does not parse");
+    }
+    EXPECT_EQ(got.counters.unit_faults, 4);
+    EXPECT_EQ(got.per_task[1].syntax_pass, 0);
+    EXPECT_EQ(got.per_task[1].func_pass, 0);
+    for (std::size_t t : {std::size_t{0}, std::size_t{2}}) {
+      EXPECT_EQ(got.per_task[t].syntax_pass, want.per_task[t].syntax_pass);
+      EXPECT_EQ(got.per_task[t].func_pass, want.per_task[t].func_pass);
+    }
+    // Without repair, a candidate of the broken task that fails to compile
+    // is a compile failure in both runs; one that compiles faults instead
+    // of simulating. (Repair rounds of a faulted unit are discarded.)
+    if (knob != Knob::kRepair) {
+      EXPECT_EQ(got.counters.compile_failures, want.counters.compile_failures);
+    }
+    EXPECT_TRUE(counters_consistent(got.counters)) << counters_inconsistency(got.counters);
+  }
 }
 
 TEST(EvalRequest, CotModelAccessorIsOptionalStyle) {

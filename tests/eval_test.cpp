@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "eval/engine.h"
+#include "eval/options.h"
 #include "eval/passk.h"
 #include "eval/report.h"
 #include "eval/suites.h"
@@ -152,16 +156,49 @@ TEST(Engine, StrongerModelBeatsWeakerOnAverage) {
   EXPECT_GT(strong.pass_at(1), weak.pass_at(1));
 }
 
-TEST(Engine, CheckReportsSource) {
-  const llm::SimLlm model = llm::make_model("GPT-4");
-  const Suite suite = build_rtllm();
-  util::Rng rng(1);
-  const CandidateOutcome outcome =
-      EvalEngine().check(model, suite.tasks.front(), 0.2, rng);
-  EXPECT_FALSE(outcome.source.empty());
-  if (outcome.func_ok) {
-    EXPECT_TRUE(outcome.syntax_ok);
+// --- flag grammar ---------------------------------------------------------------------
+
+RequestOptions parse_flags(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return RequestOptions::parse(static_cast<int>(argv.size()), argv.data());
+}
+
+// Malformed numbers are usage errors (exit 2), never a silent zero or the
+// value's numeric prefix.
+TEST(RequestOptionsDeathTest, MalformedNumbersExitTwo) {
+  for (const char* flag : {"--n=abc", "--prove-budget=1e6", "--repair-efficacy=abc",
+                           "--seed=0x10", "--temps=0.2,x", "--cache-mb=1e3", "--inject=5%",
+                           "--inject=5", "--threads=four", "--deadline-ms=1.5",
+                           "--sim-budget=-1", "--repair-rounds=2x"}) {
+    const std::string arg = flag;
+    EXPECT_EXIT(parse_flags({arg}), ::testing::ExitedWithCode(2),
+                arg.substr(0, arg.find('=')) + " wants")
+        << arg;
   }
+}
+
+TEST(RequestOptions, WellFormedNumbersParse) {
+  const RequestOptions o = parse_flags(
+      {"--n=3", "--temps=0.2, 0.5", "--seed=7", "--threads=4", "--deadline-ms=50",
+       "--retries=2", "--sim-budget=1000", "--inject=0.3", "--inject-seed=9",
+       "--prove-budget=64", "--repair-rounds=2", "--repair-budget=3", "--repair-efficacy=0.5",
+       "--cache-mb=64"});
+  EXPECT_EQ(o.n_samples, 3);
+  EXPECT_EQ(o.temperatures, (std::vector<double>{0.2, 0.5}));
+  EXPECT_EQ(o.seed, 7u);
+  EXPECT_EQ(o.threads, 4);
+  EXPECT_EQ(o.deadline_ms, 50);
+  EXPECT_EQ(o.retries, 2);
+  EXPECT_EQ(o.sim_step_budget, 1000u);
+  EXPECT_DOUBLE_EQ(o.inject, 0.3);
+  EXPECT_EQ(o.inject_seed, 9u);
+  EXPECT_EQ(o.prove_budget, 64u);
+  EXPECT_EQ(o.repair_rounds, 2);
+  EXPECT_EQ(o.repair_budget, 3);
+  EXPECT_DOUBLE_EQ(o.repair_efficacy, 0.5);
+  EXPECT_EQ(o.cache_mb, 64u);
 }
 
 // --- report helpers ------------------------------------------------------------------

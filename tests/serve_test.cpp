@@ -134,6 +134,7 @@ TEST(JobDigest, IgnoresSchedulingKnobsAndBindsResultKnobs) {
   cache::ResultCache cache_obj{cache::CacheConfig{}};
   sched.cache = &cache_obj;
   sched.on_progress = [](const eval::EvalProgress&) {};
+  sched.sim_backend = sim::SimBackend::kInterpreter;
   EXPECT_EQ(job_digest(base.model, base.suite, sched), d0);
 
   // Result-affecting knobs must.
