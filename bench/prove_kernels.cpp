@@ -15,6 +15,7 @@
 //   --check           exit 1 unless prove >= 1x simulate on EVERY kernel
 //                     (CI gate); --check=2.0 requires a 2x speedup
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -206,9 +207,18 @@ int main(int argc, char** argv) {
   std::string json_path;
   bool check = false;
   double check_ratio = 1.0;
+  // A malformed gate value is a usage error, never a silently weaker gate.
+  auto bad_value = [](const char* flag, const char* want, const char* v) {
+    std::cerr << flag << " wants " << want << ", not '" << v << "'\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--iters=", 8) == 0) {
-      iters = std::atoi(argv[i] + 8);
+      long long n = 0;
+      if (!util::parse_i64(argv[i] + 8, &n) || n < 1 || n > INT_MAX) {
+        return bad_value("--iters", "an integer >= 1", argv[i] + 8);
+      }
+      iters = static_cast<int>(n);
     } else if (std::strncmp(argv[i], "--bench-json=", 13) == 0) {
       json_path = argv[i] + 13;
     } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
@@ -217,7 +227,9 @@ int main(int argc, char** argv) {
       check = true;
     } else if (std::strncmp(argv[i], "--check=", 8) == 0) {
       check = true;
-      check_ratio = std::atof(argv[i] + 8);
+      if (!util::parse_f64(argv[i] + 8, &check_ratio) || !(check_ratio > 0.0)) {
+        return bad_value("--check", "a ratio > 0", argv[i] + 8);
+      }
     } else {
       std::cerr << "unknown flag '" << argv[i] << "'\n";
       return 2;

@@ -17,9 +17,9 @@
 //   --check           exit 1 unless every curve is monotone AND
 //                     repaired_pass > 0 over the whole sweep (CI gate)
 //   --bench-json=PATH write a BENCH_repair.json record (shared flag)
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -57,11 +57,24 @@ int main(int argc, char** argv) {
   int max_rounds = 3;
   std::size_t max_tasks = 8;
   bool check = false;
+  // A malformed value is a usage error: a silent 0 would skip the gate.
+  auto bad_value = [](const char* flag, const char* want, const std::string& v) {
+    std::cerr << flag << " wants " << want << ", not '" << v << "'\n";
+    return 2;
+  };
   for (const std::string& arg : leftover) {
     if (arg.rfind("--rounds=", 0) == 0) {
-      max_rounds = std::atoi(arg.c_str() + 9);
+      long long n = 0;
+      if (!util::parse_i64(arg.substr(9), &n) || n < 0 || n > INT_MAX) {
+        return bad_value("--rounds", "an integer >= 0", arg.substr(9));
+      }
+      max_rounds = static_cast<int>(n);
     } else if (arg.rfind("--tasks=", 0) == 0) {
-      max_tasks = static_cast<std::size_t>(std::strtoull(arg.c_str() + 8, nullptr, 10));
+      std::uint64_t n = 0;
+      if (!util::parse_u64(arg.substr(8), &n)) {
+        return bad_value("--tasks", "an unsigned integer", arg.substr(8));
+      }
+      max_tasks = static_cast<std::size_t>(n);
     } else if (arg == "--check") {
       check = true;
     } else {
@@ -71,20 +84,19 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (max_rounds < 0) max_rounds = 0;
 
   // Bench-friendly protocol unless the caller overrode it: few samples, one
   // hot temperature (failures are what the repair loop feeds on).
   if (!options.fast) {
-    options.n_samples = 4;
-    options.temperatures = {0.8};
+    options.req.n_samples = 4;
+    options.req.temperatures = {0.8};
   }
 
   eval::Suite suite = eval::build_symbolic44();
   if (max_tasks > 0 && suite.tasks.size() > max_tasks) suite.tasks.resize(max_tasks);
 
   std::printf("repair_curves: %zu tasks x n=%d, rounds 0..%d, %zu models\n",
-              suite.tasks.size(), options.n_samples, max_rounds,
+              suite.tasks.size(), options.req.n_samples, max_rounds,
               llm::model_zoo().size());
   std::printf("%-22s", "model");
   for (int r = 0; r <= max_rounds; ++r) std::printf("  r=%d pass1", r);
@@ -127,8 +139,8 @@ int main(int argc, char** argv) {
     std::string record = util::format(
         "{\"bench\":\"repair_curves\",\"schema\":1,\"n\":%d,\"tasks\":%zu,"
         "\"max_rounds\":%d,\"seed\":%llu,\"models\":[",
-        options.n_samples, suite.tasks.size(), max_rounds,
-        static_cast<unsigned long long>(options.seed));
+        options.req.n_samples, suite.tasks.size(), max_rounds,
+        static_cast<unsigned long long>(options.req.seed));
     bool first_model = true;
     for (const Curve& curve : curves) {
       if (!first_model) record += ",";

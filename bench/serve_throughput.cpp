@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   // Arm 2: the serve daemon — same 24 jobs, submitted concurrently by
   // tenant; coalescing collapses them onto 4 computations.
   serve::ServerConfig server_config;
-  server_config.threads = options.threads;
+  server_config.threads = options.req.threads;
   server_config.cache = shared_cache;
   serve::Server server(server_config);
 

@@ -13,6 +13,7 @@
 //   --check           exit 1 unless compiled >= 1x interpreter on EVERY
 //                     kernel (CI gate); --check=3.0 requires a 3x speedup
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -179,9 +180,18 @@ int main(int argc, char** argv) {
   std::string json_path;
   bool check = false;
   double check_ratio = 1.0;
+  // A malformed gate value is a usage error, never a silently weaker gate.
+  auto bad_value = [](const char* flag, const char* want, const char* v) {
+    std::cerr << flag << " wants " << want << ", not '" << v << "'\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--cycles=", 9) == 0) {
-      cycles = std::atoi(argv[i] + 9);
+      long long n = 0;
+      if (!util::parse_i64(argv[i] + 9, &n) || n < 1 || n > INT_MAX) {
+        return bad_value("--cycles", "an integer >= 1", argv[i] + 9);
+      }
+      cycles = static_cast<int>(n);
     } else if (std::strncmp(argv[i], "--bench-json=", 13) == 0) {
       json_path = argv[i] + 13;
     } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
@@ -190,7 +200,9 @@ int main(int argc, char** argv) {
       check = true;
     } else if (std::strncmp(argv[i], "--check=", 8) == 0) {
       check = true;
-      check_ratio = std::atof(argv[i] + 8);
+      if (!util::parse_f64(argv[i] + 8, &check_ratio) || !(check_ratio > 0.0)) {
+        return bad_value("--check", "a ratio > 0", argv[i] + 8);
+      }
     } else {
       std::cerr << "unknown flag '" << argv[i] << "'\n";
       return 2;

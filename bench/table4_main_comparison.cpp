@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
   BenchRecorder recorder("table4_main_comparison", args);
 
   std::cout << "== Table IV: HaVen vs baselines ==\n";
-  std::cout << "(cells: measured% [paper%]; n=" << args.n_samples << ", temps="
-            << args.temperatures.size() << ")\n\n";
+  std::cout << "(cells: measured% [paper%]; n=" << args.req.n_samples << ", temps="
+            << args.req.temperatures.size() << ")\n\n";
 
   const eval::Suite machine = eval::build_verilogeval_machine();
   const eval::Suite human = eval::build_verilogeval_human();

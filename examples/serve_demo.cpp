@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const eval::RequestOptions options = eval::RequestOptions::parse(argc, argv);
 
   serve::ServerConfig config;
-  config.threads = options.threads;
+  config.threads = options.req.threads;
   config.initial_unit_seconds = 0.050;  // calibrate the feasibility estimator
   serve::Server server(config);
 

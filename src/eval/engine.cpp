@@ -217,19 +217,8 @@ void build_golden(TaskContext& ctx, const EvalRequest& request) {
     profile.sequential = task.stimulus.sequential;
     profile.clock = task.stimulus.clock;
     profile.reset = task.stimulus.reset;
-    // Replicate the testbench's exhaustive-sweep policy (sim/testbench.cpp):
-    // data inputs are the golden's non-clock/reset inputs, swept
-    // exhaustively when their total bit count fits the budget.
-    if (!task.stimulus.sequential) {
-      int total_bits = 0;
-      for (const auto& p : gm.ports) {
-        if (p.dir == verilog::Dir::kOutput) continue;
-        if (p.name == task.stimulus.clock || p.name == task.stimulus.reset) continue;
-        total_bits += p.width();
-      }
-      profile.exhaustive_comb =
-          total_bits <= task.stimulus.max_exhaustive_bits && total_bits <= 20;
-    }
+    // Triage is sound only where the testbench itself sweeps every vector.
+    profile.exhaustive_comb = sim::exhaustive_sweep_bits(gm, task.stimulus).has_value();
     try {
       (void)sim::elaborate(gm, file);
     } catch (const sim::ElabError&) {
@@ -609,21 +598,10 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
 
   std::vector<UnitOutcome> outcomes(total);
 
-  // In fail_fast mode the first faulted unit (in index order) condemns the
-  // run: queued-but-unstarted work is cancelled and EvalAborted is thrown.
-  // An external (shared) pool is never cancelled — its queue carries other
-  // evaluations' work — so there the abort waits out the remaining units
-  // (see run_on_pool) instead of dropping them.
-  auto abort_if_fail_fast = [&](std::size_t i, util::ThreadPool* cancellable) {
-    if (!request_.fail_fast || !outcomes[i].faulted) return;
-    if (cancellable != nullptr) cancellable->cancel();
-    throw EvalAborted(make_fault(i, outcomes[i]));
-  };
-
   // Fan the units out over `pool`, collecting strictly in index order: the
   // reduction below (and the progress stream) must never observe completion
   // order.
-  auto run_on_pool = [&](util::ThreadPool& pool, bool owned) {
+  auto run_on_pool = [&](util::ThreadPool& pool) {
     std::vector<std::future<UnitOutcome>> futures;
     futures.reserve(total);
     for (std::size_t i = 0; i < total; ++i) {
@@ -632,14 +610,13 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
     try {
       for (std::size_t i = 0; i < total; ++i) {
         outcomes[i] = futures[i].get();
-        abort_if_fail_fast(i, owned ? &pool : nullptr);
         report_progress(i);
       }
     } catch (...) {
-      // Every queued task captures this stack frame; on a shared pool they
-      // would keep running after it unwinds. Block on each outstanding
-      // future (cancelled tasks are already ready with a broken promise) so
-      // no task can outlive the frame, then let the abort out.
+      // A throwing on_progress (a serve subscriber) unwinds this frame while
+      // every queued task still captures it; on a shared pool they would run
+      // after it is gone. Block on each outstanding future so no task can
+      // outlive the frame, then let the exception out.
       for (std::future<UnitOutcome>& future : futures) {
         if (future.valid()) future.wait();
       }
@@ -648,16 +625,15 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
   };
 
   if (external_pool != nullptr) {
-    run_on_pool(*external_pool, /*owned=*/false);
+    run_on_pool(*external_pool);
   } else if (workers <= 1) {
     for (std::size_t i = 0; i < total; ++i) {
       outcomes[i] = run_unit(i);
-      abort_if_fail_fast(i, nullptr);
       report_progress(i);
     }
   } else {
     util::ThreadPool pool(workers);
-    run_on_pool(pool, /*owned=*/true);
+    run_on_pool(pool);
   }
 
   // The one reducer. A faulted unit counts under unit_faults alone; every

@@ -19,9 +19,7 @@
 //    caught in the worker, recorded as a structured UnitFault on the
 //    SuiteResult, and the reduction continues. A faulted unit counts toward
 //    `candidates` but contributes nothing to pass tallies (scored as a
-//    total failure). Set EvalRequest::fail_fast for the old
-//    throw-on-first-error behavior (evaluate() then throws EvalAborted and
-//    cancels the remaining queue).
+//    total failure). A fault never aborts the run.
 //  * Budgets & deadlines: `sim_step_budget` bounds each simulation's work;
 //    `deadline_ms` bounds each attempt's wall clock, checked between
 //    pipeline stages and between simulated cycles.
@@ -96,20 +94,6 @@ struct UnitFault {
   double temperature = 0.0;
   int attempts = 1;         // attempts consumed (1 = no retries)
   std::string what;         // exception message
-};
-
-// Thrown by EvalEngine::evaluate in fail_fast mode on the first unit fault;
-// queued-but-unstarted units are cancelled, running ones finish.
-class EvalAborted : public std::runtime_error {
- public:
-  explicit EvalAborted(UnitFault fault)
-      : std::runtime_error("evaluation aborted (fail_fast) on task '" + fault.task_id +
-                           "': " + fault.what),
-        fault_(std::move(fault)) {}
-  const UnitFault& fault() const { return fault_; }
-
- private:
-  UnitFault fault_;
 };
 
 // Per-run observability block. The integer counters aggregate over the whole
@@ -284,12 +268,11 @@ class EvalRequest {
   // pool alive for as long as this request (and any engine built from it) is
   // used; null = the engine spins up its own pool per evaluate() call.
   // Sharing one pool across evaluations (the haven::serve daemon's mode)
-  // changes wall clock only, never results. Caveat: with a shared pool,
-  // fail_fast aborts by throwing without cancelling the pool's queue —
-  // cancel() would drop co-tenants' queued work.
+  // changes wall clock only, never results.
   util::ThreadPool* pool = nullptr;
   // Invoked on the calling thread after each unit is reduced, in index
-  // order; leave empty for no progress reporting.
+  // order; leave empty for no progress reporting. An exception it throws
+  // propagates out of evaluate() once every submitted unit has finished.
   ProgressCallback on_progress;
 
   // --- static analysis ------------------------------------------------------
@@ -351,20 +334,17 @@ class EvalRequest {
   cache::ResultCache* cache = nullptr;
 
   // --- fault tolerance ------------------------------------------------------
-  // Abort the whole run (throw EvalAborted, cancel the queue) on the first
-  // terminally faulted unit instead of isolating it. Off by default: the
-  // suite completes and faults land on SuiteResult::faults.
-  bool fail_fast = false;
   // Per-attempt wall-clock deadline in milliseconds (0 = none), enforced
   // between pipeline stages and between simulated cycles.
   int deadline_ms = 0;
   // Per-simulation step budget forwarded to the differential testbench
   // (0 = unlimited; see StimulusSpec::step_budget).
   std::uint64_t sim_step_budget = 0;
-  // Simulator backend for the differential testbench (compiled bytecode by
-  // default; interpreter kept as the oracle). Backends are verdict-identical
-  // — DESIGN.md §10 — so this knob never changes SuiteResult verdicts,
-  // counters, or cache keys, only wall time.
+  // Selects the test oracle: kInterpreter runs the differential testbench on
+  // the AST interpreter instead of the compiled bytecode. No front end sets
+  // it; the backend differential tests do. Backends are verdict-identical
+  // (DESIGN.md §10), so it never changes SuiteResult verdicts, counters, or
+  // cache keys, only wall time.
   sim::SimBackend sim_backend = sim::kDefaultSimBackend;
   // Retry policy for transient faults (injected faults by default). With
   // retry.max_retries = 0 nothing is ever retried.

@@ -5,209 +5,177 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <utility>
 
 #include "util/strings.h"
 
 namespace haven::eval {
 namespace {
 
-// One entry per flag: the spec both drives parse() and renders the help
-// text, so a flag and its documentation cannot drift apart. `value` is the
-// placeholder shown in help (null = boolean flag). `apply` mutates the
-// options; it reports a malformed value by returning false, with *error
-// filled or left empty for the generic message (parse() turns either into
-// a usage error, exit 2). Numbers go through the strict util::parse_*, so a
-// malformed value is never read as zero or as its numeric prefix.
+// One row per flag: the row drives parse(), apply_knob() and the help text,
+// so a flag, its serve knob and its documentation cannot drift apart. A
+// setter returns nullptr when it took the value and otherwise what the row
+// accepts ("an integer >= 0"); parse() and apply_knob() turn that into their
+// error message. Numbers go through the strict util::parse_*, so a malformed
+// value is never read as zero or as its numeric prefix, and a rejected value
+// leaves its target unchanged. A bare boolean flag is its knob's "1".
 struct FlagSpec {
-  const char* name;   // including the leading "--"
-  const char* value;  // e.g. "N"; nullptr for boolean flags
+  const char* name;   // command-line spelling, including the leading "--"
+  const char* knob;   // serve line-protocol key; nullptr = command line only
+  const char* value;  // placeholder shown in help; nullptr = boolean flag
   const char* help;   // one-line description for --help
-  bool (*apply)(RequestOptions& o, const char* v, std::string* error);
+  // Exactly one setter is set: request rows write the EvalRequest (every
+  // row with a serve key is one), front-end rows the other options.
+  const char* (*request)(EvalRequest& r, const std::string& v);
+  const char* (*option)(RequestOptions& o, const std::string& v);
 };
 
-bool parse_int(const char* v, int* out) {
+// An int in [lo, INT_MAX].
+const char* set_int(const std::string& v, long long lo, int* out, const char* want) {
   long long i = 0;
-  if (!util::parse_i64(v, &i) || i < INT_MIN || i > INT_MAX) return false;
+  if (!util::parse_i64(v, &i) || i < lo || i > INT_MAX) return want;
   *out = static_cast<int>(i);
-  return true;
+  return nullptr;
 }
 
-// [0, 1], written so that NaN fails too.
-bool is_unit_interval(double x) { return x >= 0.0 && x <= 1.0; }
+const char* set_u64(const std::string& v, std::uint64_t* out) {
+  return util::parse_u64(v, out) ? nullptr : "an unsigned integer";
+}
 
-const FlagSpec kFlags[] = {
-    {"--fast", nullptr, "CI-friendly protocol: n=5, single temperature 0.2",
-     [](RequestOptions& o, const char*, std::string*) {
+const char* set_bool(const std::string& v, bool* out) {
+  long long i = 0;
+  if (!util::parse_i64(v, &i) || (i != 0 && i != 1)) return "0 or 1";
+  *out = i != 0;
+  return nullptr;
+}
+
+// A number in [0, 1], written so that NaN fails too.
+const char* set_unit(const std::string& v, double* out, const char* want) {
+  double x = 0.0;
+  if (!util::parse_f64(v, &x) || !(x >= 0.0 && x <= 1.0)) return want;
+  *out = x;
+  return nullptr;
+}
+
+const char* set_temps(const std::string& v, std::vector<double>* out) {
+  constexpr const char* kWant = "a comma-separated list of numbers";
+  std::vector<double> temps;
+  for (const std::string& field : util::split(v, ',')) {
+    const std::string item(util::trim(field));
+    double t = 0.0;
+    if (item.empty()) continue;
+    if (!util::parse_f64(item, &t)) return kWant;
+    temps.push_back(t);
+  }
+  if (temps.empty()) return kWant;
+  *out = std::move(temps);
+  return nullptr;
+}
+
+using Req = EvalRequest;
+using Opts = RequestOptions;
+using Arg = const std::string&;
+
+constexpr FlagSpec kFlags[] = {
+    {"--fast", nullptr, nullptr, "CI-friendly protocol: n=5, single temperature 0.2", nullptr,
+     [](Opts& o, Arg) -> const char* {
        o.fast = true;
-       o.n_samples = 5;  // pass@5 needs k <= n
-       o.temperatures = {0.2};
-       return true;
+       o.req.n_samples = 5;  // pass@5 needs k <= n
+       o.req.temperatures = {0.2};
+       return nullptr;
      }},
-    {"--n", "N", "samples per task (pass@k needs k <= n)",
-     [](RequestOptions& o, const char* v, std::string* error) {
-       if (!parse_int(v, &o.n_samples) || o.n_samples <= 0) {
-         *error = "--n wants a positive sample count";
-         return false;
-       }
-       return true;
-     }},
-    {"--temps", "a,b,c", "sampling temperatures to sweep",
-     [](RequestOptions& o, const char* v, std::string* error) {
-       o.temperatures.clear();
-       for (const std::string& field : util::split(v, ',')) {
-         const std::string item(util::trim(field));
-         double t = 0.0;
-         if (item.empty()) continue;
-         if (!util::parse_f64(item, &t)) return false;
-         o.temperatures.push_back(t);
-       }
-       if (o.temperatures.empty()) {
-         *error = "--temps wants e.g. 0.2,0.5,0.8";
-         return false;
-       }
-       return true;
-     }},
-    {"--seed", "N", "base evaluation seed",
-     [](RequestOptions& o, const char* v, std::string*) {
-       return util::parse_u64(v, &o.seed);
-     }},
-    {"--sicot", nullptr, "refine prompts through the SI-CoT pipeline",
-     [](RequestOptions& o, const char*, std::string*) {
-       o.use_sicot = true;
-       return true;
-     }},
-    {"--progress", nullptr, "coarse progress lines on stderr",
-     [](RequestOptions& o, const char*, std::string*) {
+    {"--n", "n", "N", "samples per task (pass@k needs k <= n)",
+     [](Req& r, Arg v) { return set_int(v, 1, &r.n_samples, "an integer >= 1"); }, nullptr},
+    {"--temps", "temps", "a,b,c", "sampling temperatures to sweep",
+     [](Req& r, Arg v) { return set_temps(v, &r.temperatures); }, nullptr},
+    {"--seed", "seed", "N", "base evaluation seed",
+     [](Req& r, Arg v) { return set_u64(v, &r.seed); }, nullptr},
+    {"--sicot", "sicot", nullptr, "refine prompts through the SI-CoT pipeline",
+     [](Req& r, Arg v) { return set_bool(v, &r.use_sicot); }, nullptr},
+    {"--progress", nullptr, nullptr, "coarse progress lines on stderr", nullptr,
+     [](Opts& o, Arg) -> const char* {
        o.progress = true;
-       return true;
+       return nullptr;
      }},
-    {"--threads", "N", "worker threads (0 = one per hardware thread)",
-     [](RequestOptions& o, const char* v, std::string*) { return parse_int(v, &o.threads); }},
-    {"--serial", nullptr, "single-threaded evaluation (= --threads=1)",
-     [](RequestOptions& o, const char*, std::string*) {
-       o.threads = 1;
-       return true;
-     }},
-    {"--deadline-ms", "N", "per-attempt wall-clock deadline (0 = none)",
-     [](RequestOptions& o, const char* v, std::string*) {
-       return parse_int(v, &o.deadline_ms);
-     }},
-    {"--retries", "N", "transient-fault retries per work unit",
-     [](RequestOptions& o, const char* v, std::string*) { return parse_int(v, &o.retries); }},
-    {"--fail-fast", nullptr, "abort the run on the first faulted unit",
-     [](RequestOptions& o, const char*, std::string*) {
-       o.fail_fast = true;
-       return true;
-     }},
-    {"--sim-budget", "N", "simulation step budget per candidate (0 = unbounded)",
-     [](RequestOptions& o, const char* v, std::string*) {
-       return util::parse_u64(v, &o.sim_step_budget);
-     }},
-    {"--sim-backend", "interp|compiled", "simulator backend (verdict-identical)",
-     [](RequestOptions& o, const char* v, std::string* error) {
-       if (auto backend = sim::parse_backend(v)) {
-         o.sim_backend = *backend;
-         return true;
-       }
-       *error = std::string("unknown --sim-backend '") + v + "' (want " +
-                std::string(sim::kBackendValues) + ")";
-       return false;
-     }},
-    {"--inject", "P", "chaos-mode fault probability per site",
-     [](RequestOptions& o, const char* v, std::string* error) {
-       if (!util::parse_f64(v, &o.inject) || !is_unit_interval(o.inject)) {
-         *error = "--inject wants a probability in [0, 1]";
-         return false;
-       }
-       return true;
-     }},
-    {"--inject-seed", "N", "chaos-mode injection seed",
-     [](RequestOptions& o, const char* v, std::string*) {
-       return util::parse_u64(v, &o.inject_seed);
-     }},
-    {"--lint", nullptr, "lint candidates against the golden reference profile",
-     [](RequestOptions& o, const char*, std::string*) {
-       o.lint = true;
-       return true;
-     }},
-    {"--lint-triage", nullptr, "skip simulation when lint proves failure",
-     [](RequestOptions& o, const char*, std::string*) {
-       o.lint_triage = true;
-       return true;
-     }},
-    {"--lint-json", nullptr, "emit per-candidate findings as JSON (implies --lint)",
-     [](RequestOptions& o, const char*, std::string*) {
-       o.lint = true;
+    {"--threads", nullptr, "N", "worker threads (0 = one per hardware thread)",
+     [](Req& r, Arg v) { return set_int(v, INT_MIN, &r.threads, "an integer"); }, nullptr},
+    {"--serial", nullptr, nullptr, "single-threaded evaluation (= --threads=1)",
+     [](Req& r, Arg) -> const char* {
+       r.threads = 1;
+       return nullptr;
+     },
+     nullptr},
+    {"--deadline-ms", "unit-deadline", "N", "per-attempt wall-clock deadline (0 = none)",
+     [](Req& r, Arg v) { return set_int(v, 0, &r.deadline_ms, "milliseconds >= 0"); }, nullptr},
+    {"--retries", "retries", "N", "transient-fault retries per work unit",
+     [](Req& r, Arg v) { return set_int(v, 0, &r.retry.max_retries, "an integer >= 0"); },
+     nullptr},
+    {"--sim-budget", "budget", "N", "simulation step budget per candidate (0 = unbounded)",
+     [](Req& r, Arg v) { return set_u64(v, &r.sim_step_budget); }, nullptr},
+    {"--inject", nullptr, "P", "chaos-mode fault probability per site", nullptr,
+     [](Opts& o, Arg v) { return set_unit(v, &o.inject, "a probability in [0, 1]"); }},
+    {"--inject-seed", nullptr, "N", "chaos-mode injection seed", nullptr,
+     [](Opts& o, Arg v) { return set_u64(v, &o.inject_seed); }},
+    {"--lint", "lint", nullptr, "lint candidates against the golden reference profile",
+     [](Req& r, Arg v) { return set_bool(v, &r.lint); }, nullptr},
+    {"--lint-triage", "triage", nullptr, "skip simulation when lint proves failure",
+     [](Req& r, Arg v) { return set_bool(v, &r.lint_triage); }, nullptr},
+    {"--lint-json", nullptr, nullptr, "emit per-candidate findings as JSON (implies --lint)",
+     nullptr,
+     [](Opts& o, Arg) -> const char* {
+       o.req.lint = true;
        o.lint_json = true;
-       return true;
+       return nullptr;
      }},
-    {"--prove", nullptr, "formal equivalence fast-path before simulation",
-     [](RequestOptions& o, const char*, std::string*) {
-       o.prove = true;
-       return true;
-     }},
-    {"--no-prove", nullptr, "force proving off",
-     [](RequestOptions& o, const char*, std::string*) {
-       o.no_prove = true;
-       return true;
-     }},
-    {"--prove-budget", "N", "BDD node budget per proof (0 = unbounded)",
-     [](RequestOptions& o, const char* v, std::string*) {
-       return util::parse_u64(v, &o.prove_budget);
-     }},
-    {"--repair-rounds", "N", "self-repair rounds per failed candidate (0 = off)",
-     [](RequestOptions& o, const char* v, std::string* error) {
-       if (!parse_int(v, &o.repair_rounds) || o.repair_rounds < 0) {
-         *error = "--repair-rounds wants an integer >= 0";
-         return false;
-       }
-       return true;
-     }},
-    {"--repair-budget", "N", "total generations per candidate incl. round 0 (0 = rounds only)",
-     [](RequestOptions& o, const char* v, std::string* error) {
-       if (!parse_int(v, &o.repair_budget) || o.repair_budget < 0) {
-         *error = "--repair-budget wants an integer >= 0";
-         return false;
-       }
-       return true;
-     }},
-    {"--repair-efficacy", "F", "repair feedback efficacy factor in [0,1]",
-     [](RequestOptions& o, const char* v, std::string* error) {
-       if (!util::parse_f64(v, &o.repair_efficacy) || !is_unit_interval(o.repair_efficacy)) {
-         *error = "--repair-efficacy wants a number in [0, 1]";
-         return false;
-       }
-       return true;
-     }},
-    {"--cache", nullptr, "in-memory result cache",
-     [](RequestOptions& o, const char*, std::string*) {
+    {"--prove", "prove", nullptr, "formal equivalence fast-path before simulation",
+     [](Req& r, Arg v) { return set_bool(v, &r.prove); }, nullptr},
+    {"--prove-budget", "prove-budget", "N", "BDD node budget per proof (0 = unbounded)",
+     [](Req& r, Arg v) { return set_u64(v, &r.prove_budget); }, nullptr},
+    {"--repair-rounds", "repair-rounds", "N",
+     "self-repair rounds per failed candidate (0 = off)",
+     [](Req& r, Arg v) { return set_int(v, 0, &r.repair.max_rounds, "an integer >= 0"); },
+     nullptr},
+    {"--repair-budget", "repair-budget", "N",
+     "total generations per candidate incl. round 0 (0 = rounds only)",
+     [](Req& r, Arg v) { return set_int(v, 0, &r.repair.attempt_budget, "an integer >= 0"); },
+     nullptr},
+    {"--repair-efficacy", "repair-efficacy", "F", "repair feedback efficacy factor in [0,1]",
+     [](Req& r, Arg v) { return set_unit(v, &r.repair.efficacy, "a number in [0, 1]"); },
+     nullptr},
+    {"--cache", nullptr, nullptr, "in-memory result cache", nullptr,
+     [](Opts& o, Arg) -> const char* {
        o.cache = true;
-       return true;
+       return nullptr;
      }},
-    {"--no-cache", nullptr, "force caching off",
-     [](RequestOptions& o, const char*, std::string*) {
-       o.no_cache = true;
-       return true;
-     }},
-    {"--cache-dir", "PATH", "persistent cache artifact directory (implies --cache)",
-     [](RequestOptions& o, const char* v, std::string*) {
+    {"--cache-dir", nullptr, "PATH", "persistent cache artifact directory (implies --cache)",
+     nullptr,
+     [](Opts& o, Arg v) -> const char* {
        o.cache_dir = v;
        o.cache = true;
-       return true;
+       return nullptr;
      }},
-    {"--cache-mb", "N", "result-cache budget in MiB",
-     [](RequestOptions& o, const char* v, std::string*) {
+    {"--cache-mb", nullptr, "N", "result-cache budget in MiB", nullptr,
+     [](Opts& o, Arg v) -> const char* {
        std::uint64_t mb = 0;
-       if (!util::parse_u64(v, &mb)) return false;
+       if (!util::parse_u64(v, &mb)) return "a size in MiB";
        o.cache_mb = static_cast<std::size_t>(mb);
-       return true;
+       return nullptr;
      }},
-    {"--bench-json", "PATH", "append a machine-readable run record",
-     [](RequestOptions& o, const char* v, std::string*) {
+    {"--bench-json", nullptr, "PATH", "append a machine-readable run record", nullptr,
+     [](Opts& o, Arg v) -> const char* {
        o.bench_json = v;
-       return true;
+       return nullptr;
      }},
 };
+
+// apply_knob() has only the request to write into.
+constexpr bool knobs_set_the_request() {
+  for (const FlagSpec& spec : kFlags) {
+    if (spec.knob != nullptr && spec.request == nullptr) return false;
+  }
+  return true;
+}
+static_assert(knobs_set_the_request(), "a row with a serve key must have a request setter");
 
 std::string render_flag(const FlagSpec& spec) {
   std::string s = spec.name;
@@ -260,16 +228,16 @@ RequestOptions RequestOptions::parse(int argc, char** argv,
         matched = &spec;
         value = argv[++i];
       } else {
-        continue;  // shared prefix of a longer flag (e.g. "--n" vs "--no-cache")
+        continue;  // shared prefix of a longer flag (e.g. "--inject" vs "--inject-seed")
       }
       break;
     }
     if (matched != nullptr) {
-      std::string error;
-      if (!matched->apply(options, value, &error)) {
-        usage_error(error.empty() ? util::format("%s wants %s, not '%s'", matched->name,
-                                                 matched->value, value)
-                                  : error);
+      const std::string v = value != nullptr ? value : "1";
+      const char* want = matched->request != nullptr ? matched->request(options.req, v)
+                                                     : matched->option(options, v);
+      if (want != nullptr) {
+        usage_error(util::format("%s wants %s, not '%s'", matched->name, want, v.c_str()));
       }
     } else if (leftover != nullptr) {
       leftover->push_back(arg);
@@ -279,7 +247,7 @@ RequestOptions RequestOptions::parse(int argc, char** argv,
     // Bare operands with no sink are silently ignored, matching the old
     // per-bench parsers (benches take no positional arguments).
   }
-  if (!options.no_cache && (options.cache || !options.cache_dir.empty())) {
+  if (options.cache) {
     cache::CacheConfig config;
     config.max_bytes = options.cache_mb << 20;
     config.dir = options.cache_dir;
@@ -308,34 +276,31 @@ const char* RequestOptions::flag_help() {
 }
 
 EvalRequest RequestOptions::request() const {
-  EvalRequest req;
-  req.n_samples = n_samples;
-  req.temperatures = temperatures;
-  req.seed = seed;
-  req.use_sicot = use_sicot;
-  req.threads = threads;
-  req.deadline_ms = deadline_ms;
-  req.retry.max_retries = retries;
-  req.fail_fast = fail_fast;
-  req.sim_step_budget = sim_step_budget;
-  req.sim_backend = sim_backend;
-  req.lint = lint;
-  req.lint_triage = lint_triage;
-  req.prove = prove && !no_prove;
-  req.prove_budget = prove_budget;
-  req.repair.max_rounds = repair_rounds;
-  req.repair.attempt_budget = repair_budget;
-  req.repair.efficacy = repair_efficacy;
-  req.cache = result_cache.get();
-  if (progress) req.on_progress = progress_printer();
-  return req;
+  EvalRequest r = req;
+  r.cache = result_cache.get();
+  if (progress) r.on_progress = progress_printer();
+  return r;
 }
 
 EvalRequest RequestOptions::sicot_request(const llm::SimLlm& cot_model) const {
-  EvalRequest req = request();
-  req.use_sicot = true;
-  req.set_cot_model(cot_model);
-  return req;
+  EvalRequest r = request();
+  r.use_sicot = true;
+  r.set_cot_model(cot_model);
+  return r;
+}
+
+bool apply_knob(EvalRequest& request, const std::string& key, const std::string& value,
+                std::string* error) {
+  for (const FlagSpec& spec : kFlags) {
+    if (spec.knob == nullptr || key != spec.knob) continue;
+    if (const char* want = spec.request(request, value)) {
+      *error = "knob '" + key + "' wants " + want + ", got '" + value + "'";
+      return false;
+    }
+    return true;
+  }
+  *error = "unknown knob '" + key + "'";
+  return false;
 }
 
 ProgressCallback progress_printer() {

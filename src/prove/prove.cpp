@@ -1,6 +1,7 @@
 #include "prove/prove.h"
 
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -25,15 +26,6 @@ constexpr std::uint64_t kLane[6] = {
     0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
     0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
 };
-
-int data_input_bits(const Module& golden, const sim::StimulusSpec& spec) {
-  int total = 0;
-  for (const auto& p : golden.ports) {
-    if (p.dir == Dir::kOutput || p.name == spec.clock || p.name == spec.reset) continue;
-    total += p.width();
-  }
-  return total;
-}
 
 // One variable per data-input bit, in port order, LSB first — the exact bit
 // layout of the harness's exhaustive vector counter, which doubles as the BDD
@@ -100,11 +92,9 @@ bool sweep_unsat(const Aig& aig, Lit root, Budget* budget) {
 }  // namespace
 
 bool spec_provable(const Module& golden, const sim::StimulusSpec& spec) {
-  if (spec.sequential) return false;
   // The proof is only verdict-identical when simulation would itself sweep
   // every vector (run_diff_test's exhaustive gate).
-  const int total = data_input_bits(golden, spec);
-  return total <= spec.max_exhaustive_bits && total <= 20;
+  return sim::exhaustive_sweep_bits(golden, spec).has_value();
 }
 
 bool golden_provable(const Module& golden, const SourceFile* golden_file,
@@ -172,11 +162,12 @@ ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, con
     return r;
   }
 
-  const int total_bits = data_input_bits(golden, spec);
-  if (total_bits > spec.max_exhaustive_bits || total_bits > 20) {
+  const std::optional<int> bits = sim::exhaustive_sweep_bits(golden, spec);
+  if (!bits) {
     r.reason = "input space exceeds the exhaustive sweep";
     return r;
   }
+  const int total_bits = *bits;
 
   Budget budget(opts.node_budget);
   Aig aig(&budget);

@@ -8,9 +8,9 @@
 #include <utility>
 #include <vector>
 
+#include "eval/options.h"
 #include "eval/suites.h"
 #include "llm/model_zoo.h"
-#include "sim/backend.h"
 #include "util/strings.h"
 
 namespace haven::serve {
@@ -59,7 +59,9 @@ bool parse_job(const std::string& tenant, const std::string& model_name,
     *error = "unknown suite '" + suite_name + "' (want machine|human|v2|rtllm|symbolic44)";
     return false;
   }
-  // Service-friendly defaults; every knob below overrides.
+  // Service-friendly defaults; every knob below overrides. The job-level
+  // keys are read here; every request knob goes through the shared flag
+  // table (eval::apply_knob), with the same ranges as its command-line flag.
   job.request.n_samples = 2;
   job.request.temperatures = {0.2};
   for (const std::string& knob : knobs) {
@@ -74,61 +76,16 @@ bool parse_job(const std::string& tenant, const std::string& model_name,
       *error = "knob '" + key + "' wants " + want + ", got '" + value + "'";
       return false;
     };
-    constexpr long long kIntMax = std::numeric_limits<int>::max();
     long long i = 0;
     std::uint64_t u = 0;
-    if (key == "n") {
-      if (!util::parse_i64(value, &i) || i < 1 || i > kIntMax) return bad("an integer >= 1");
-      job.request.n_samples = static_cast<int>(i);
-    } else if (key == "temps") {
-      std::vector<double> temps;
-      for (const std::string& field : util::split(value, ',')) {
-        const std::string trimmed{util::trim(field)};
-        if (trimmed.empty()) continue;
-        double t = 0.0;
-        if (!util::parse_f64(trimmed, &t)) return bad("a comma-separated list of numbers");
-        temps.push_back(t);
-      }
-      if (temps.empty()) return bad("a comma-separated list of numbers");
-      job.request.temperatures = std::move(temps);
-    } else if (key == "seed") {
-      if (!util::parse_u64(value, &u)) return bad("an unsigned integer");
-      job.request.seed = u;
-    } else if (key == "tasks") {
+    if (key == "tasks") {
       if (!util::parse_u64(value, &u) || u < 1) return bad("an integer >= 1");
       if (job.suite.tasks.size() > u) job.suite.tasks.resize(u);
-    } else if (key == "sicot") {
-      if (!util::parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
-      job.request.use_sicot = i != 0;
-    } else if (key == "lint") {
-      if (!util::parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
-      job.request.lint = i != 0;
-    } else if (key == "triage") {
-      if (!util::parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
-      job.request.lint_triage = i != 0;
     } else if (key == "deadline") {
-      if (!util::parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("milliseconds >= 0");
-      job.deadline_ms = static_cast<int>(i);
-    } else if (key == "unit-deadline") {
-      if (!util::parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("milliseconds >= 0");
-      job.request.deadline_ms = static_cast<int>(i);
-    } else if (key == "budget") {
-      if (!util::parse_u64(value, &u)) return bad("an unsigned integer");
-      job.request.sim_step_budget = u;
-    } else if (key == "backend") {
-      // Validated, never silently defaulted: an unknown backend is an ERR
-      // naming the accepted values, same policy as every other knob.
-      if (const auto backend = sim::parse_backend(value)) {
-        job.request.sim_backend = *backend;
-      } else {
-        return bad(std::string(sim::kBackendValues).c_str());
+      if (!util::parse_i64(value, &i) || i < 0 || i > std::numeric_limits<int>::max()) {
+        return bad("milliseconds >= 0");
       }
-    } else if (key == "prove") {
-      if (!util::parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
-      job.request.prove = i != 0;
-    } else if (key == "prove-budget") {
-      if (!util::parse_u64(value, &u)) return bad("an unsigned integer");
-      job.request.prove_budget = u;
+      job.deadline_ms = static_cast<int>(i);
     } else if (key == "repair") {
       // repair=1 turns the loop on with the default round count unless
       // repair-rounds= already picked one; repair=0 forces it off.
@@ -138,24 +95,7 @@ bool parse_job(const std::string& tenant, const std::string& model_name,
       } else if (job.request.repair.max_rounds == 0) {
         job.request.repair.max_rounds = 2;
       }
-    } else if (key == "repair-rounds") {
-      if (!util::parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("an integer >= 0");
-      job.request.repair.max_rounds = static_cast<int>(i);
-    } else if (key == "repair-budget") {
-      if (!util::parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("an integer >= 0");
-      job.request.repair.attempt_budget = static_cast<int>(i);
-    } else if (key == "repair-efficacy") {
-      double f = 0.0;
-      if (!util::parse_f64(value, &f) || f < 0.0 || f > 1.0) return bad("a number in [0, 1]");
-      job.request.repair.efficacy = f;
-    } else if (key == "retries") {
-      if (!util::parse_i64(value, &i) || i < 0 || i > kIntMax) return bad("an integer >= 0");
-      job.request.retry.max_retries = static_cast<int>(i);
-    } else if (key == "fail-fast") {
-      if (!util::parse_i64(value, &i) || (i != 0 && i != 1)) return bad("0 or 1");
-      job.request.fail_fast = i != 0;
-    } else {
-      *error = "unknown knob '" + key + "'";
+    } else if (!eval::apply_knob(job.request, key, value, error)) {
       return false;
     }
   }
@@ -228,8 +168,8 @@ void LineServer::handle(const std::string& line) {
       for (const auto& [id, ticket] : tickets_) report(id, ticket);
       return;
     }
-    const std::uint64_t id = std::strtoull(words[1].c_str(), nullptr, 10);
-    const auto it = tickets_.find(id);
+    std::uint64_t id = 0;
+    const auto it = util::parse_u64(words[1], &id) ? tickets_.find(id) : tickets_.end();
     if (it == tickets_.end()) {
       out_ << "ERR unknown job id '" << words[1] << "'\n";
       return;

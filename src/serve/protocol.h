@@ -21,9 +21,15 @@
 //   DRAIN   -> DRAINED
 //   QUIT    -> ends the session (EOF does too)
 //
-// Knobs: n=<samples> temps=<a,b,c> seed=<u64> tasks=<truncate suite to N>
-//        sicot=<0|1> lint=<0|1> triage=<0|1> deadline=<job ms>
-//        unit-deadline=<ms> budget=<sim steps> retries=<n> fail-fast=<0|1>
+// Job knobs: tasks=<truncate suite to N> deadline=<job ms>
+//            repair=<0|1> (1 = repair-rounds=2 unless already set)
+// Request knobs, read through eval::apply_knob from the same flag table as
+// the command line, with the same ranges (the flag in parentheses):
+//   n=<samples> temps=<a,b,c> seed=<u64> sicot=<0|1> lint=<0|1>
+//   triage=<0|1> (--lint-triage)  unit-deadline=<ms> (--deadline-ms)
+//   budget=<sim steps> (--sim-budget)  retries=<n>  prove=<0|1>
+//   prove-budget=<nodes>  repair-rounds=<n>  repair-budget=<n>
+//   repair-efficacy=<0..1>
 // Suites: machine | human | v2 | rtllm | symbolic44.
 // Unknown commands/models/suites/knobs — and malformed or out-of-range knob
 // values (e.g. n=abc, tasks=0) — answer "ERR <reason>" and the session

@@ -137,7 +137,6 @@ cache::Digest job_digest(const llm::SimLlm& model, const eval::Suite& suite,
   h.i32(request.deadline_ms);
   h.u64(request.sim_step_budget);
   h.i32(request.retry.max_retries);
-  h.boolean(request.fail_fast);
   h.boolean(request.has_cot_model());
   if (request.has_cot_model()) {
     const llm::SimLlm& cot = request.cot_model();

@@ -104,7 +104,7 @@ enum class JobStatus {
   kQueued = 0,
   kRunning,
   kDone,
-  kFailed,    // the computation threw (e.g. fail_fast abort)
+  kFailed,    // the computation threw (e.g. a progress subscriber threw)
   kRejected,  // refused at admission
   kExpired,   // admitted, deadline lapsed before dispatch
 };

@@ -10,39 +10,18 @@
 // The backends are bit-identical on every observable: peeked values,
 // convergence flags, differential-test verdicts, and the testbench stimulus
 // stream (which is drawn before simulation and never touched by either
-// executor). Everything downstream — Testbench, EvalEngine, the
-// hallucination injector's behavioural checks — selects a backend through
-// this enum (StimulusSpec::backend / EvalRequest::sim_backend); the compiled
-// backend is the default everywhere, the interpreter stays available as the
-// differential-testing oracle via --sim-backend=interp.
+// executor). The compiled backend is the one every front end runs; the
+// interpreter is the test oracle, selected through StimulusSpec::backend /
+// EvalRequest::sim_backend by the backend differential tests only.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace haven::sim {
 
 enum class SimBackend : std::uint8_t { kInterpreter = 0, kCompiled = 1 };
 
 inline constexpr SimBackend kDefaultSimBackend = SimBackend::kCompiled;
-
-constexpr const char* backend_name(SimBackend b) {
-  return b == SimBackend::kInterpreter ? "interp" : "compiled";
-}
-
-// Canonical list of accepted backend spellings. Every surface that rejects a
-// backend value (eval::RequestOptions, the serve line protocol) names these
-// in its error message, so the valid set is stated in exactly one place.
-inline constexpr std::string_view kBackendValues = "interp|interpreter|compiled|compile";
-
-// Parse a --sim-backend= value ("interp"/"interpreter" or "compiled"/
-// "compile"; keep kBackendValues in sync); nullopt on anything else.
-inline std::optional<SimBackend> parse_backend(std::string_view name) {
-  if (name == "interp" || name == "interpreter") return SimBackend::kInterpreter;
-  if (name == "compiled" || name == "compile") return SimBackend::kCompiled;
-  return std::nullopt;
-}
 
 // Interned signal slot: resolve a top-level name once, then poke/peek
 // through the handle with no per-call string map lookup. Handles are only

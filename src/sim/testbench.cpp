@@ -111,6 +111,17 @@ DiffResult check_interface(const Module& dut, const Module& golden) {
   return r;
 }
 
+std::optional<int> exhaustive_sweep_bits(const Module& golden, const StimulusSpec& spec) {
+  if (spec.sequential) return std::nullopt;
+  int bits = 0;
+  for (const auto& p : golden.ports) {
+    if (p.dir == Dir::kOutput || p.name == spec.clock || p.name == spec.reset) continue;
+    bits += p.width();
+  }
+  if (bits > spec.max_exhaustive_bits || bits > 20) return std::nullopt;
+  return bits;
+}
+
 DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
                          const Module& golden_mod, const SourceFile* golden_file,
                          const StimulusSpec& spec, util::Rng& rng,
@@ -186,10 +197,8 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
     };
 
     if (!spec.sequential) {
-      int total_bits = 0;
-      for (const auto& in : h.data_inputs) total_bits += in.width;
-      if (total_bits <= spec.max_exhaustive_bits && total_bits <= 20) {
-        const std::uint64_t limit = std::uint64_t{1} << total_bits;
+      if (const std::optional<int> bits = exhaustive_sweep_bits(golden_mod, spec)) {
+        const std::uint64_t limit = std::uint64_t{1} << *bits;
         for (std::uint64_t vec = 0; vec < limit; ++vec) {
           check_deadline("exhaustive vector sweep");
           std::uint64_t rest = vec;

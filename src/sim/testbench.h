@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "sim/simulator.h"
@@ -28,12 +29,23 @@ struct StimulusSpec {
   // sim::BudgetExceeded out of the diff test, so a runaway candidate can
   // never pin a worker; the eval engine records it as a unit fault.
   std::uint64_t step_budget = 0;
-  // Which simulator executes both sides of the diff test. Backends are
-  // verdict-identical (DESIGN.md §10), so this is a pure performance knob;
-  // it is deliberately EXCLUDED from the eval result-cache key so a warm
-  // cache replays across backend switches (see eval/cache_io.cpp).
+  // Which simulator executes both sides of the diff test: the compiled
+  // backend, or the interpreter as the test oracle (the backend
+  // differential tests set it). Backends are verdict-identical (DESIGN.md
+  // §10), so it is deliberately EXCLUDED from the eval result-cache key (see
+  // eval/cache_io.cpp).
   SimBackend backend = kDefaultSimBackend;
 };
+
+// The exhaustive-sweep rule. A combinational test drives the golden's data
+// inputs (every non-output port except the clock and the reset) and sweeps
+// all 2^bits input vectors when their total width fits both
+// max_exhaustive_bits and 20; otherwise it draws random_vectors random ones.
+// Returns that width when the sweep is exhaustive, nullopt when it is not or
+// the spec is sequential. The prover and lint triage decide through this
+// same function, so their verdicts cannot drift from the testbench's.
+std::optional<int> exhaustive_sweep_bits(const verilog::Module& golden,
+                                         const StimulusSpec& spec);
 
 struct DiffResult {
   bool passed = false;

@@ -15,17 +15,6 @@ ThreadPool::ThreadPool(std::size_t workers) {
   }
 }
 
-std::size_t ThreadPool::cancel() {
-  std::queue<std::function<void()>> dropped;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    dropped.swap(queue_);
-  }
-  // Destroy outside the lock: dropping a packaged_task breaks its promise,
-  // which may wake future waiters.
-  return dropped.size();
-}
-
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -35,14 +35,6 @@ class ThreadPool {
 
   std::size_t worker_count() const { return workers_.size(); }
 
-  // Drain-without-execute: discard every queued-but-unstarted task and
-  // return how many were dropped. Their futures report a broken promise
-  // (std::future_error) instead of a result; tasks already running finish
-  // normally and the pool stays usable for new submissions. This is the
-  // fail-fast abort path: when one work unit condemns the whole run there
-  // is no point burning workers on the rest of the queue.
-  std::size_t cancel();
-
   // hardware_concurrency(), or 1 when the runtime cannot report it.
   static std::size_t default_worker_count();
 

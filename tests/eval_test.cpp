@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "eval/engine.h"
@@ -171,7 +173,8 @@ TEST(RequestOptionsDeathTest, MalformedNumbersExitTwo) {
   for (const char* flag : {"--n=abc", "--prove-budget=1e6", "--repair-efficacy=abc",
                            "--seed=0x10", "--temps=0.2,x", "--cache-mb=1e3", "--inject=5%",
                            "--inject=5", "--threads=four", "--deadline-ms=1.5",
-                           "--sim-budget=-1", "--repair-rounds=2x"}) {
+                           "--sim-budget=-1", "--repair-rounds=2x", "--retries=-2",
+                           "--deadline-ms=-5"}) {
     const std::string arg = flag;
     EXPECT_EXIT(parse_flags({arg}), ::testing::ExitedWithCode(2),
                 arg.substr(0, arg.find('=')) + " wants")
@@ -185,20 +188,107 @@ TEST(RequestOptions, WellFormedNumbersParse) {
        "--retries=2", "--sim-budget=1000", "--inject=0.3", "--inject-seed=9",
        "--prove-budget=64", "--repair-rounds=2", "--repair-budget=3", "--repair-efficacy=0.5",
        "--cache-mb=64"});
-  EXPECT_EQ(o.n_samples, 3);
-  EXPECT_EQ(o.temperatures, (std::vector<double>{0.2, 0.5}));
-  EXPECT_EQ(o.seed, 7u);
-  EXPECT_EQ(o.threads, 4);
-  EXPECT_EQ(o.deadline_ms, 50);
-  EXPECT_EQ(o.retries, 2);
-  EXPECT_EQ(o.sim_step_budget, 1000u);
+  EXPECT_EQ(o.req.n_samples, 3);
+  EXPECT_EQ(o.req.temperatures, (std::vector<double>{0.2, 0.5}));
+  EXPECT_EQ(o.req.seed, 7u);
+  EXPECT_EQ(o.req.threads, 4);
+  EXPECT_EQ(o.req.deadline_ms, 50);
+  EXPECT_EQ(o.req.retry.max_retries, 2);
+  EXPECT_EQ(o.req.sim_step_budget, 1000u);
   EXPECT_DOUBLE_EQ(o.inject, 0.3);
   EXPECT_EQ(o.inject_seed, 9u);
-  EXPECT_EQ(o.prove_budget, 64u);
-  EXPECT_EQ(o.repair_rounds, 2);
-  EXPECT_EQ(o.repair_budget, 3);
-  EXPECT_DOUBLE_EQ(o.repair_efficacy, 0.5);
+  EXPECT_EQ(o.req.prove_budget, 64u);
+  EXPECT_EQ(o.req.repair.max_rounds, 2);
+  EXPECT_EQ(o.req.repair.attempt_budget, 3);
+  EXPECT_DOUBLE_EQ(o.req.repair.efficacy, 0.5);
   EXPECT_EQ(o.cache_mb, 64u);
+}
+
+// Every field a request knob writes, for comparing two requests.
+auto knob_fields(const EvalRequest& r) {
+  return std::make_tuple(r.n_samples, r.temperatures, r.seed, r.use_sicot, r.deadline_ms,
+                         r.sim_step_budget, r.retry.max_retries, r.lint, r.lint_triage,
+                         r.prove, r.prove_budget, r.repair.max_rounds,
+                         r.repair.attempt_budget, r.repair.efficacy);
+}
+
+// One grammar, two surfaces: for every value row with a serve key, the
+// command line and the serve line protocol accept the same values, set the
+// same request from them, and reject the same values.
+TEST(RequestOptionsDeathTest, ServeKnobsTakeWhatTheirFlagsTake) {
+  struct Row {
+    const char* flag;
+    const char* knob;
+    std::vector<std::string> good;
+    std::vector<std::string> bad;
+  };
+  const std::vector<Row> rows = {
+      {"--n", "n", {"1", "3", "2147483647"}, {"0", "-3", "abc", "", "1.5", "2147483648"}},
+      {"--temps", "temps", {"0.2", "0.2, 0.8", ",0.5,"}, {"", "x", "0.2,y", ","}},
+      {"--seed", "seed", {"0", "7", "18446744073709551615"}, {"-1", "12z", "0x10", ""}},
+      {"--deadline-ms", "unit-deadline", {"0", "50"}, {"-5", "1.5", "x"}},
+      {"--sim-budget", "budget", {"0", "1000"}, {"-1", "1e3"}},
+      {"--retries", "retries", {"0", "2"}, {"-2", "two"}},
+      {"--prove-budget", "prove-budget", {"0", "64"}, {"-1", "lots", "1e6"}},
+      {"--repair-rounds", "repair-rounds", {"0", "3"}, {"-1", "x", "2x"}},
+      {"--repair-budget", "repair-budget", {"0", "2"}, {"-1", "1.5"}},
+      {"--repair-efficacy", "repair-efficacy", {"0", "0.5", "1"},
+       {"1.5", "-0.1", "abc", "nan"}},
+  };
+  for (const Row& row : rows) {
+    for (const std::string& v : row.good) {
+      EvalRequest served;
+      std::string error;
+      ASSERT_TRUE(apply_knob(served, row.knob, v, &error))
+          << row.knob << "=" << v << ": " << error;
+      EXPECT_EQ(knob_fields(served),
+                knob_fields(parse_flags({std::string(row.flag) + "=" + v}).request()))
+          << row.flag << "=" << v;
+    }
+    for (const std::string& v : row.bad) {
+      EvalRequest served;
+      std::string error;
+      EXPECT_FALSE(apply_knob(served, row.knob, v, &error)) << row.knob << "=" << v;
+      EXPECT_EQ(error.rfind(std::string("knob '") + row.knob + "' wants ", 0), 0u) << error;
+      EXPECT_EQ(knob_fields(served), knob_fields(EvalRequest{})) << "rejected value applied";
+      EXPECT_EXIT(parse_flags({std::string(row.flag) + "=" + v}), ::testing::ExitedWithCode(2),
+                  std::string(row.flag) + " wants")
+          << row.flag << "=" << v;
+    }
+  }
+}
+
+// A boolean row is bare on the command line and takes 0|1 as a serve knob.
+TEST(RequestOptions, BooleanKnobsTakeZeroOrOne) {
+  const std::vector<std::pair<const char*, const char*>> rows = {
+      {"--sicot", "sicot"},
+      {"--lint", "lint"},
+      {"--lint-triage", "triage"},
+      {"--prove", "prove"},
+  };
+  for (const auto& [flag, knob] : rows) {
+    EvalRequest on, off;
+    std::string error;
+    ASSERT_TRUE(apply_knob(on, knob, "1", &error)) << error;
+    ASSERT_TRUE(apply_knob(off, knob, "0", &error)) << error;
+    EXPECT_EQ(knob_fields(on), knob_fields(parse_flags({flag}).request())) << flag;
+    EXPECT_EQ(knob_fields(off), knob_fields(EvalRequest{})) << knob;
+    for (const char* bad : {"2", "-1", "yes", ""}) {
+      EXPECT_FALSE(apply_knob(off, knob, bad, &error)) << knob << "=" << bad;
+      EXPECT_NE(error.find("wants 0 or 1"), std::string::npos) << error;
+    }
+  }
+  std::string error;
+  EvalRequest r;
+  EXPECT_FALSE(apply_knob(r, "threads", "4", &error));  // command line only
+  EXPECT_EQ(error, "unknown knob 'threads'");
+}
+
+// Flags deleted from the grammar are unknown, not silently accepted.
+TEST(RequestOptionsDeathTest, DeletedFlagsAreUnknown) {
+  for (const char* flag : {"--fail-fast", "--sim-backend=interp", "--no-prove", "--no-cache"}) {
+    EXPECT_EXIT(parse_flags({flag}), ::testing::ExitedWithCode(2), "unknown flag") << flag;
+  }
 }
 
 // --- report helpers ------------------------------------------------------------------

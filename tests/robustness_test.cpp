@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -338,33 +339,14 @@ TEST(FaultTolerance, DisabledInjectionIsBitIdenticalToNoInjector) {
   }
 }
 
-TEST(FaultTolerance, FailFastAbortsOnFirstFault) {
-  util::FaultInjector injector(0xC405);
-  injector.arm(util::kSiteLlmGenerate, 1.0);  // every unit faults immediately
-  injector.install();
-  eval::EvalRequest request;
-  request.n_samples = 2;
-  request.temperatures = {0.2};
-  request.threads = 4;
-  request.fail_fast = true;
-  try {
-    eval::EvalEngine(request).evaluate(llm::make_model("GPT-4"), tiny_rtllm(4));
-    injector.uninstall();
-    FAIL() << "expected EvalAborted";
-  } catch (const eval::EvalAborted& e) {
-    injector.uninstall();
-    EXPECT_EQ(e.fault().kind, eval::FaultKind::kInjected);
-    EXPECT_FALSE(e.fault().task_id.empty());
-  }
-}
-
 TEST(FaultTolerance, FailFastOnSharedPoolDrainsBeforeUnwinding) {
-  // Regression: with an external (shared) pool, the EvalAborted throw used
-  // to unwind evaluate()'s frame while queued units still referenced it —
-  // a use-after-free once the pool ran them (the serve daemon's fail-fast=1
-  // path). The abort must wait out every outstanding unit first. One worker
-  // plus a fault site deep in the unit (after generate + compile) keeps a
-  // long tail of tasks queued when the first outcome condemns the run.
+  // Regression: when an exception leaves evaluate() on an external (shared)
+  // pool, unwinding its frame while queued units still reference it is a
+  // use-after-free once the pool runs them (first seen with an
+  // abort-on-fault mode; a throwing serve subscriber takes the same path).
+  // The exception must wait out every outstanding unit first. One worker
+  // and a fault site deep in the unit (after generate + compile) keep a
+  // long tail of units queued when the first reduction throws.
   util::ThreadPool pool(1);
   util::FaultInjector injector(0xC405);
   injector.arm(util::kSiteSimRun, 1.0);  // every unit faults at simulation
@@ -373,13 +355,16 @@ TEST(FaultTolerance, FailFastOnSharedPoolDrainsBeforeUnwinding) {
   request.n_samples = 4;
   request.temperatures = {0.2};
   request.pool = &pool;
-  request.fail_fast = true;
   request.retry.max_retries = 0;
+  request.on_progress = [](const eval::EvalProgress&) {
+    throw std::runtime_error("subscriber failed");
+  };
   EXPECT_THROW(eval::EvalEngine(request).evaluate(llm::make_model("GPT-4"), tiny_rtllm(8)),
-               eval::EvalAborted);
-  // Every unit ran to completion before the abort escaped (a shared pool is
-  // never cancelled): a unit still in flight would keep firing the injector,
-  // so the count must be quiescent once evaluate() has returned...
+               std::runtime_error);
+  // Every unit ran to completion before the exception escaped (a shared
+  // pool's queue is never dropped): a unit still in flight would keep firing
+  // the injector, so the count must be quiescent once evaluate() has
+  // returned...
   const std::int64_t injected_at_return = injector.total_injected();
   EXPECT_GT(injected_at_return, 0);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));

@@ -476,17 +476,28 @@ TEST(Serve, StopExpiresQueuedJobsAndEveryAdmittedJobTerminates) {
 
 TEST(LineProtocol, CoalescedAndOneshotVerdictsAreBitIdentical) {
   Server server{ServerConfig{}};
-  std::istringstream in(
-      "SUBMIT tenant-a RTLCoder-DeepSeek rtllm tasks=3 n=2 temps=0.2\n"
-      "SUBMIT tenant-b RTLCoder-DeepSeek rtllm tasks=3 n=2 temps=0.2\n"
-      "ONESHOT RTLCoder-DeepSeek rtllm tasks=3 n=2 temps=0.2\n"
-      "WAIT *\n"
-      "STATS\n"
-      "DRAIN\n"
-      "QUIT\n");
+  // The dispatcher stays pinned in a blocker job until both SUBMITs are in,
+  // so tenant-b attaches to tenant-a's queued job. Unpinned, tenant-a could
+  // finish before the second SUBMIT is read, and tenant-b would replay the
+  // memo ("JOB 2 done") instead of coalescing.
+  std::promise<void> release;
+  const JobTicket blocker = server.submit(make_blocker(release.get_future().share()));
+  std::stringstream in;
   std::ostringstream out;
   LineServer line_server(server, in, out);
-  EXPECT_EQ(line_server.run(), 7u);
+  in << "SUBMIT tenant-a RTLCoder-DeepSeek rtllm tasks=3 n=2 temps=0.2\n"
+        "SUBMIT tenant-b RTLCoder-DeepSeek rtllm tasks=3 n=2 temps=0.2\n";
+  std::size_t handled = line_server.run();
+  release.set_value();
+  in.clear();  // run() stopped at end of input; the session continues
+  in << "ONESHOT RTLCoder-DeepSeek rtllm tasks=3 n=2 temps=0.2\n"
+        "WAIT *\n"
+        "STATS\n"
+        "DRAIN\n"
+        "QUIT\n";
+  handled += line_server.run();
+  EXPECT_EQ(handled, 7u);
+  EXPECT_EQ(blocker.wait(), JobStatus::kDone);
 
   const std::vector<std::string> lines = util::split_lines(out.str());
   std::vector<std::string> verdicts;
@@ -526,13 +537,14 @@ TEST(LineProtocol, RejectsUnknownModelsSuitesAndKnobs) {
       "SUBMIT t CodeQwen rtllm n=abc\n"
       "FROB\n"
       "WAIT 99\n"
+      "WAIT 1x\n"
       "QUIT\n");
   std::ostringstream out;
   LineServer line_server(server, in, out);
   line_server.run();
 
   const std::vector<std::string> lines = util::split_lines(out.str());
-  ASSERT_EQ(lines.size(), 6u);
+  ASSERT_EQ(lines.size(), 7u);
   for (const std::string& line : lines) EXPECT_EQ(line.rfind("ERR", 0), 0u) << line;
   // A malformed session never touches the server proper.
   const ServeCounters stats = server.stats();
@@ -545,10 +557,9 @@ TEST(LineProtocol, RejectsMalformedAndOutOfRangeKnobValues) {
       {"temps=x"},    {"temps="},       {"temps=0.2,y"},
       {"seed=-1"},    {"seed=12z"},
       {"tasks=0"},    {"tasks=many"},
-      {"sicot=2"},    {"lint=maybe"},   {"triage=-1"},   {"fail-fast=yes"},
+      {"sicot=2"},    {"lint=maybe"},   {"triage=-1"},
       {"deadline=5s"},{"deadline=-1"},  {"unit-deadline=1.5"},
       {"budget=-1"},  {"retries=-2"},   {"retries=two"},
-      {"backend=verilator"}, {"backend="},
       {"prove=2"},    {"prove=yes"},    {"prove-budget=-1"}, {"prove-budget=lots"},
       {"repair=2"},   {"repair=yes"},   {"repair-rounds=-1"}, {"repair-rounds=x"},
       {"repair-budget=-1"}, {"repair-efficacy=1.5"}, {"repair-efficacy=-0.1"},
@@ -561,12 +572,25 @@ TEST(LineProtocol, RejectsMalformedAndOutOfRangeKnobValues) {
         << "knob accepted: " << knobs.front();
     EXPECT_NE(error.find("knob"), std::string::npos) << error;
   }
-  // An unknown backend is an ERR that teaches the caller the accepted values
-  // instead of silently falling back to the default simulator.
-  EvalJob job;
-  std::string error;
-  EXPECT_FALSE(parse_job("t", "CodeQwen", "rtllm", {{"backend=verilator"}}, &job, &error));
-  EXPECT_NE(error.find(std::string(sim::kBackendValues)), std::string::npos) << error;
+}
+
+// Keys outside the flag table are an ERR, never a silently ignored knob;
+// neither abort-on-fault nor the simulator backend is a serve knob.
+TEST(LineProtocol, DeletedKnobsAreUnknown) {
+  Server server{ServerConfig{}};
+  std::istringstream in(
+      "SUBMIT t CodeQwen rtllm fail-fast=1\n"
+      "SUBMIT t CodeQwen rtllm backend=compiled\n"
+      "QUIT\n");
+  std::ostringstream out;
+  LineServer line_server(server, in, out);
+  line_server.run();
+
+  const std::vector<std::string> lines = util::split_lines(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], "ERR unknown knob 'fail-fast'");
+  EXPECT_EQ(lines[1], "ERR unknown knob 'backend'");
+  EXPECT_EQ(server.stats().submitted, 0);
 }
 
 TEST(LineProtocol, ParseJobAppliesKnobs) {
@@ -575,8 +599,7 @@ TEST(LineProtocol, ParseJobAppliesKnobs) {
   ASSERT_TRUE(parse_job("t", "CodeQwen", "human",
                         {"n=4", "temps=0.2,0.8", "seed=7", "tasks=5", "lint=1",
                          "triage=1", "deadline=1500", "unit-deadline=200",
-                         "budget=1000", "backend=compiled", "prove=1",
-                         "prove-budget=4096", "retries=2", "fail-fast=1"},
+                         "budget=1000", "prove=1", "prove-budget=4096", "retries=2"},
                         &job, &error))
       << error;
   EXPECT_EQ(job.suite.tasks.size(), 5u);
@@ -588,11 +611,9 @@ TEST(LineProtocol, ParseJobAppliesKnobs) {
   EXPECT_EQ(job.deadline_ms, 1500);
   EXPECT_EQ(job.request.deadline_ms, 200);
   EXPECT_EQ(job.request.sim_step_budget, 1000u);
-  EXPECT_EQ(job.request.sim_backend, sim::SimBackend::kCompiled);
   EXPECT_TRUE(job.request.prove);
   EXPECT_EQ(job.request.prove_budget, 4096u);
   EXPECT_EQ(job.request.retry.max_retries, 2);
-  EXPECT_TRUE(job.request.fail_fast);
   EXPECT_EQ(job_units(job), 2u * 5u * 4u);
 }
 

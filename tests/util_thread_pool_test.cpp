@@ -74,42 +74,6 @@ TEST(ThreadPool, AllSubmittedTasksExecuteExactlyOnce) {
   EXPECT_EQ(executed.load(), 257);
 }
 
-TEST(ThreadPool, CancelDropsQueuedTasksAndBreaksTheirPromises) {
-  std::atomic<int> executed{0};
-  ThreadPool pool(1);
-  // Park the single worker so every subsequent submission stays queued.
-  std::promise<void> started, gate;
-  auto blocker = pool.submit([&] {
-    started.set_value();
-    gate.get_future().wait();
-  });
-  started.get_future().wait();
-
-  std::vector<std::future<int>> queued;
-  for (int i = 0; i < 32; ++i) {
-    queued.push_back(pool.submit([&executed, i] {
-      executed.fetch_add(1);
-      return i;
-    }));
-  }
-  const std::size_t dropped = pool.cancel();
-  gate.set_value();
-  blocker.get();  // the in-flight task was not cancelled
-
-  EXPECT_EQ(dropped, 32u);
-  EXPECT_EQ(executed.load(), 0);
-  // Cancelled tasks surface as broken promises, not silent hangs.
-  for (auto& f : queued) EXPECT_THROW(f.get(), std::future_error);
-}
-
-TEST(ThreadPool, PoolStaysUsableAfterCancel) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.cancel(), 0u);  // empty queue: nothing to drop
-  EXPECT_EQ(pool.submit([] { return 5; }).get(), 5);
-  pool.cancel();
-  EXPECT_EQ(pool.submit([] { return 6; }).get(), 6);
-}
-
 TEST(ThreadPool, DrainsQueueOnDestructionWithoutGet) {
   std::atomic<int> executed{0};
   {
