@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
       {"Oracle (all cured)", base.scaled(0.0)},
   };
 
-  util::TablePrinter table({"Arm", "pass@1", "pass@5", "delta p@1 vs base"});
+  const int k = eval::reported_k(args.req.n_samples);
+  util::TablePrinter table({"Arm", "pass@1", "pass@" + std::to_string(k), "delta p@1 vs base"});
   double base_p1 = 0;
   const eval::EvalEngine engine(args.request());
   for (const Arm& arm : arms) {
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
     args.report_lint(r);
     const double p1 = r.pass_at(1);
     if (arm.label == arms[0].label) base_p1 = p1;
-    table.add_row({arm.label, eval::pct(p1), eval::pct(r.pass_at(5)),
+    table.add_row({arm.label, eval::pct(p1), eval::pct(r.pass_at(k)),
                    util::format("%+.1f", (p1 - base_p1) * 100.0)});
     std::cout << "  done: " << arm.label << "\n" << std::flush;
   }

@@ -16,6 +16,7 @@
 #include "core/haven.h"
 #include "eval/engine.h"
 #include "eval/options.h"
+#include "eval/passk.h"
 #include "eval/report.h"
 #include "eval/suites.h"
 #include "util/strings.h"
@@ -78,11 +79,12 @@ class BenchRecorder {
     cache_bytes_ = c.cache_bytes;  // resident bytes after the latest run
     threads_used_ = c.threads_used;
     if (!results_.empty()) results_ += ",";
+    const int k = result.reported_k();
     results_ += util::format(
         "{\"suite\":\"%s\",\"model\":\"%s\",\"temperature\":%.2f,"
-        "\"pass1\":%.6f,\"pass5\":%.6f,\"syntax5\":%.6f,\"per_task\":[",
+        "\"pass1\":%.6f,\"pass%d\":%.6f,\"syntax%d\":%.6f,\"per_task\":[",
         result.suite_name.c_str(), result.model_name.c_str(), result.temperature,
-        result.pass_at(1), result.pass_at(5), result.syntax_pass_at(5));
+        result.pass_at(1), k, result.pass_at(k), k, result.syntax_pass_at(k));
     bool first = true;
     for (const eval::TaskResult& t : result.per_task) {
       if (!first) results_ += ",";

@@ -20,8 +20,9 @@ int main(int argc, char** argv) {
 
   std::cout << "== Fig 3: Ablation of techniques (VerilogEval-human) ==\n\n";
 
-  util::TablePrinter table({"Model", "Arm", "pass@1", "pass@5"});
-  util::CsvWriter csv({"base_model", "arm", "pass1", "pass5"});
+  const int k = eval::reported_k(args.req.n_samples);
+  util::TablePrinter table({"Model", "Arm", "pass@1", "pass@" + std::to_string(k)});
+  util::CsvWriter csv({"base_model", "arm", "pass1", "pass" + std::to_string(k)});
 
   for (const char* base : {llm::kBaseCodeLlama, llm::kBaseDeepSeek, llm::kBaseCodeQwen}) {
     // Arm configurations share one dataset-pipeline run per variant.
@@ -54,8 +55,8 @@ int main(int argc, char** argv) {
       eval::EvalRequest req = arm.cot ? args.sicot_request(cot_model) : args.request();
       const eval::SuiteResult r = eval::EvalEngine(std::move(req)).evaluate(model, human);
       args.report_lint(r);
-      table.add_row({base, arm.label, eval::pct(r.pass_at(1)), eval::pct(r.pass_at(5))});
-      csv.add_row({base, arm.label, eval::pct(r.pass_at(1)), eval::pct(r.pass_at(5))});
+      table.add_row({base, arm.label, eval::pct(r.pass_at(1)), eval::pct(r.pass_at(k))});
+      csv.add_row({base, arm.label, eval::pct(r.pass_at(1)), eval::pct(r.pass_at(k))});
       std::cout << "  done: " << base << " / " << arm.label << "\n" << std::flush;
     }
     table.add_separator();

@@ -19,8 +19,9 @@ int main(int argc, char** argv) {
 
   const double fractions[] = {0.0, 0.5, 1.0};
   util::TablePrinter p1_table({"pass@1", "L=0%", "L=50%", "L=100%"});
-  util::TablePrinter p5_table({"pass@5", "L=0%", "L=50%", "L=100%"});
-  util::CsvWriter csv({"k_fraction", "l_fraction", "pass1", "pass5"});
+  const int k = eval::reported_k(args.req.n_samples);
+  util::TablePrinter p5_table({"pass@" + std::to_string(k), "L=0%", "L=50%", "L=100%"});
+  util::CsvWriter csv({"k_fraction", "l_fraction", "pass1", "pass" + std::to_string(k)});
 
   for (double kf : fractions) {
     std::vector<std::string> row1 = {util::format("K=%.0f%%", kf * 100)};
@@ -35,9 +36,9 @@ int main(int argc, char** argv) {
       const eval::SuiteResult r = engine.evaluate(pipe.codegen_model(), human);
       args.report_lint(r);
       row1.push_back(eval::pct(r.pass_at(1)));
-      row5.push_back(eval::pct(r.pass_at(5)));
+      row5.push_back(eval::pct(r.pass_at(k)));
       csv.add_row({util::format("%.1f", kf), util::format("%.1f", lf),
-                   eval::pct(r.pass_at(1)), eval::pct(r.pass_at(5))});
+                   eval::pct(r.pass_at(1)), eval::pct(r.pass_at(k))});
       std::cout << "  done: K=" << kf * 100 << "% L=" << lf * 100 << "%\n" << std::flush;
     }
     p1_table.add_row(row1);

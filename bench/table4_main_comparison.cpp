@@ -68,8 +68,10 @@ int main(int argc, char** argv) {
   const eval::Suite rtllm = eval::build_rtllm();
   const eval::Suite v2 = eval::build_verilogeval_v2();
 
-  util::TablePrinter table({"Model", "Mach p@1", "Mach p@5", "Hum p@1", "Hum p@5",
-                            "RTLLM syn@5", "RTLLM func@5", "v2 p@1", "v2 p@5"});
+  const int k = eval::reported_k(args.req.n_samples);
+  const std::string at_k = "@" + std::to_string(k);
+  util::TablePrinter table({"Model", "Mach p@1", "Mach p" + at_k, "Hum p@1", "Hum p" + at_k,
+                            "RTLLM syn" + at_k, "RTLLM func" + at_k, "v2 p@1", "v2 p" + at_k});
 
   auto evaluate = [&](const llm::SimLlm& model, const eval::EvalEngine& engine) {
     const eval::SuiteResult rm = engine.evaluate(model, machine);
@@ -87,10 +89,10 @@ int main(int argc, char** argv) {
       if (paper != nullptr) s += " [" + std::string(paper->vals[paper_idx]) + "]";
       return s;
     };
-    table.add_row({model.name(), cell(rm.pass_at(1), 0), cell(rm.pass_at(5), 1),
-                   cell(rh.pass_at(1), 2), cell(rh.pass_at(5), 3),
-                   cell(rr.syntax_pass_at(5), 4), cell(rr.pass_at(5), 5),
-                   cell(rv.pass_at(1), 6), cell(rv.pass_at(5), 7)});
+    table.add_row({model.name(), cell(rm.pass_at(1), 0), cell(rm.pass_at(k), 1),
+                   cell(rh.pass_at(1), 2), cell(rh.pass_at(k), 3),
+                   cell(rr.syntax_pass_at(k), 4), cell(rr.pass_at(k), 5),
+                   cell(rv.pass_at(1), 6), cell(rv.pass_at(k), 7)});
     std::cout << "  done: " << model.name() << "\n" << std::flush;
   };
 

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
 
   std::cout << "== Temperature protocol: per-temperature pass@k (VerilogEval-human) ==\n\n";
 
-  util::TablePrinter table({"Model", "T", "pass@1", "pass@5"});
+  const int k = eval::reported_k(args.req.n_samples);
+  util::TablePrinter table({"Model", "T", "pass@1", "pass@" + std::to_string(k)});
 
   // The explicit per-temperature sweep (no best-of selection) is this
   // bench's point: override EvalRequest::temperatures with one T at a time.
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
       const eval::SuiteResult r = eval::EvalEngine(std::move(req)).evaluate(model, human);
       args.report_lint(r);
       table.add_row({model.name(), util::format("%.1f", t), eval::pct(r.pass_at(1)),
-                     eval::pct(r.pass_at(5))});
+                     eval::pct(r.pass_at(k))});
       std::cout << "  done: " << model.name() << " T=" << t << "\n" << std::flush;
     }
     table.add_separator();

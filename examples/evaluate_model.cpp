@@ -13,6 +13,7 @@
 #include "cache/result_cache.h"
 #include "eval/engine.h"
 #include "eval/options.h"
+#include "eval/passk.h"
 #include "eval/report.h"
 #include "eval/suites.h"
 #include "llm/model_zoo.h"
@@ -55,7 +56,9 @@ int main(int argc, char** argv) {
   }
   const eval::EvalEngine engine(request);
 
-  util::TablePrinter table({"Model", "func p@1", "func p@5", "syntax p@5", "best T"});
+  const int k = eval::reported_k(request.n_samples);
+  const std::string at_k = "@" + std::to_string(k);
+  util::TablePrinter table({"Model", "func p@1", "func p" + at_k, "syntax p" + at_k, "best T"});
   for (const auto& name : models) {
     if (llm::find_model_card(name) == nullptr) {
       std::cerr << "unknown model '" << name << "'; available:\n";
@@ -63,8 +66,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     const eval::SuiteResult result = engine.evaluate(llm::make_model(name), suite);
-    table.add_row({name, eval::pct(result.pass_at(1)), eval::pct(result.pass_at(5)),
-                   eval::pct(result.syntax_pass_at(5)),
+    table.add_row({name, eval::pct(result.pass_at(1)), eval::pct(result.pass_at(k)),
+                   eval::pct(result.syntax_pass_at(k)),
                    util::format("%.1f", result.temperature)});
     std::cout << eval::summarize(result) << "\n";
     std::cout << "  " << eval::summarize(result.counters) << "\n";

@@ -48,6 +48,12 @@ double SuiteResult::pass_at(int k) const {
   return mean_pass_at_k(nc, k);
 }
 
+int SuiteResult::reported_k() const {
+  int n = 5;
+  for (const auto& t : per_task) n = std::min(n, t.n);
+  return eval::reported_k(n);
+}
+
 double SuiteResult::syntax_pass_at(int k) const {
   std::vector<std::pair<int, int>> nc;
   nc.reserve(per_task.size());

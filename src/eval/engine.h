@@ -225,6 +225,9 @@ struct SuiteResult {
 
   double pass_at(int k) const;         // functional
   double syntax_pass_at(int k) const;  // syntax
+  // eval::reported_k for the smallest per-task sample count: the k of the
+  // pass@5 figure this result can report.
+  int reported_k() const;
   // Per-modality pass counts (Table V rows): {passed, total} at pass@1
   // semantics, counting a task as passed if >= 1 of n samples passed.
   std::pair<int, int> modality_pass(symbolic::Modality m) const;

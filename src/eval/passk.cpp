@@ -1,5 +1,6 @@
 #include "eval/passk.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace haven::eval {
@@ -16,6 +17,8 @@ double pass_at_k(int n, int c, int k) {
   }
   return 1.0 - prod;
 }
+
+int reported_k(int n_samples) { return std::clamp(n_samples, 1, 5); }
 
 double mean_pass_at_k(const std::vector<std::pair<int, int>>& n_c_pairs, int k) {
   if (n_c_pairs.empty()) return 0.0;

@@ -12,10 +12,11 @@ std::string pass_total(std::pair<int, int> pt) {
 }
 
 std::string summarize(const SuiteResult& result) {
-  return util::format("%s on %s: pass@1=%s pass@5=%s syntax@5=%s (T=%.1f)",
+  const int k = result.reported_k();
+  return util::format("%s on %s: pass@1=%s pass@%d=%s syntax@%d=%s (T=%.1f)",
                       result.model_name.c_str(), result.suite_name.c_str(),
-                      pct(result.pass_at(1)).c_str(), pct(result.pass_at(5)).c_str(),
-                      pct(result.syntax_pass_at(5)).c_str(), result.temperature);
+                      pct(result.pass_at(1)).c_str(), k, pct(result.pass_at(k)).c_str(), k,
+                      pct(result.syntax_pass_at(k)).c_str(), result.temperature);
 }
 
 std::string summarize(const EvalCounters& c) {

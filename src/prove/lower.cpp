@@ -1,40 +1,30 @@
-// Dual-rail symbolic lowering (lower.h, DESIGN.md §12). Every rule here
-// mirrors a specific construct in sim/simulator.cpp or sim/value.h; where the
-// correspondence is not obvious a comment names the mirrored behaviour. The
-// cardinal rule: when the settled state cannot be reproduced bit-identically
-// as a pure function of the swept inputs, throw UnsupportedError — never
-// approximate.
+// Dual-rail symbolic execution of the levelized sim::Program (lower.h,
+// DESIGN.md §12). Each handler in exec() applies the symbolic twin of the
+// v_* kernel CompiledSimulator::exec calls for the same Op, so agreement
+// with the simulator is argued one opcode at a time. The cardinal rule: when
+// the settled state cannot be reproduced bit-identically as a pure function
+// of the swept inputs, throw UnsupportedError — never approximate.
 #include "prove/lower.h"
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "sim/compile.h"
+#include "sim/program.h"
 #include "sim/value.h"
-#include "verilog/ast.h"
 
 namespace haven::prove {
 namespace {
 
-using sim::ElabDesign;
-using sim::ElabProcess;
+using sim::Instr;
+using sim::Op;
 using sim::ProcessKind;
+using sim::Program;
 using sim::Value;
 using verilog::CaseKind;
-using verilog::ExprKind;
-using verilog::ExprPtr;
-using verilog::StmtKind;
-using verilog::StmtPtr;
-
-// Mirrors simulator.cpp's loop cap; exceeding it there flags non-convergence,
-// here it forces the simulation fallback which reproduces that flag.
-constexpr int kMaxLoopIterations = 1 << 16;
-// Strictly below the simulator's kMaxDeltaCycles so an acyclic design we
-// accept can never be one the simulator fails to settle.
-constexpr int kMaxCombDepth = 990;
 
 [[noreturn]] void unsupported(const std::string& reason) { throw UnsupportedError(reason); }
 
@@ -45,38 +35,12 @@ int checked_width(int w) {
 
 class Lowerer {
  public:
-  Lowerer(Aig* aig, const ElabDesign& design,
-          const std::map<std::string, std::vector<Lit>>& input_vars)
-      : aig_(aig), budget_(aig->budget()), design_(design), input_vars_(input_vars) {}
+  explicit Lowerer(Aig* aig) : aig_(aig), budget_(aig->budget()) {}
 
-  std::vector<Word> run();
+  std::vector<Word> run(const sim::ElabDesign& design,
+                        const std::map<std::string, std::vector<Lit>>& input_vars);
 
  private:
-  // Per-activation shadow state of one combinational process. kBottom = not
-  // yet assigned this activation, kVal = assigned, kPoison = assigned on some
-  // but not all paths (a latch if it survives to commit).
-  enum class BState : unsigned char { kBottom, kPoison, kVal };
-  struct OBit {
-    BState st = BState::kBottom;
-    Bit bit;
-  };
-  using Overlay = std::map<std::size_t, std::vector<OBit>>;
-  struct NbaWrite {
-    std::size_t id;
-    int hi, lo;
-    Word value;
-  };
-
-  struct Ctx {
-    bool initial = false;
-    Overlay overlay;                       // comb mode: targets of the process
-    std::vector<NbaWrite>* nba = nullptr;  // initial mode: queued NBAs
-    // Bits the active process may ever write (per target signal); reading a
-    // still-kBottom bit inside this mask would observe the previous
-    // activation, which a single pass cannot model.
-    const std::map<std::size_t, std::uint64_t>* write_masks = nullptr;
-  };
-
   // --- word helpers ---------------------------------------------------------
   Lit land(Lit a, Lit b) { return aig_->land(a, b); }
   Lit lor(Lit a, Lit b) { return aig_->lor(a, b); }
@@ -303,7 +267,7 @@ class Lowerer {
     return out;
   }
 
-  Word w_case_eq(const Word& a0, const Word& b0, bool negate) {
+  Word w_case_eq(const Word& a0, const Word& b0) {
     const int w = std::max(a0.width(), b0.width());
     const Word a = resized(a0, w), b = resized(b0, w);
     Lit same = kTrue;
@@ -312,7 +276,7 @@ class Lowerer {
       same = land(same, land(lit_not(lxor(ab.v, bb.v)), lit_not(lxor(ab.x, bb.x))));
     }
     Word out(1);
-    out.bits[0] = Bit{negate ? lit_not(same) : same, kFalse};
+    out.bits[0] = Bit{same, kFalse};
     return out;
   }
 
@@ -393,714 +357,351 @@ class Lowerer {
     return out;
   }
 
-  // --- signal reads ---------------------------------------------------------
-  std::size_t lookup(const std::string& name) const {
-    const auto it = design_.signal_ids.find(name);
-    if (it == design_.signal_ids.end()) unsupported("undeclared identifier '" + name + "'");
-    return it->second;
-  }
-
-  Bit read_bit(std::size_t id, int j, Ctx& ctx) {
-    if (!ctx.initial) {
-      const auto it = ctx.overlay.find(id);
-      if (it != ctx.overlay.end()) {
-        const OBit& ob = it->second[static_cast<std::size_t>(j)];
-        if (ob.st == BState::kVal) return ob.bit;
-        if (ob.st == BState::kPoison) unsupported("reads a conditionally-assigned target");
-        // kBottom: sound only for bits this process can never write — those
-        // settle at the pre-activation state. A writable bit would observe
-        // the previous activation, which one pass cannot model.
-        const auto mit = ctx.write_masks->find(id);
-        if (mit != ctx.write_masks->end() && ((mit->second >> j) & 1))
-          unsupported("reads its own target before assigning it");
-      }
+  // kBitDyn: the selected bit, X when the index is unknown or out of range.
+  Word bit_select(const Word& base, const Word& idx) {
+    const Lit defined = lit_not(any_x(idx));
+    Lit sel_v = kFalse, sel_def = kFalse;
+    for (int j = 0; j < base.width(); ++j) {
+      const Lit eq = eq_const(idx, static_cast<std::uint64_t>(j));
+      sel_v = lor(sel_v, land(eq, base.bits[static_cast<std::size_t>(j)].v));
+      sel_def = lor(sel_def, land(eq, lit_not(base.bits[static_cast<std::size_t>(j)].x)));
     }
-    return state_[id].bits[static_cast<std::size_t>(j)];
-  }
-
-  Word read_signal(std::size_t id, Ctx& ctx) {
-    const int sw = design_.signals[id].width;
-    Word out(sw);
-    for (int j = 0; j < sw; ++j) out.bits[static_cast<std::size_t>(j)] = read_bit(id, j, ctx);
+    Word out(1);
+    out.bits[0] = Bit{land(defined, sel_v), lit_not(land(defined, sel_def))};
     return out;
   }
 
-  // --- expression evaluation (mirror of Simulator::eval) --------------------
-  Word eval(const ExprPtr& e, Ctx& ctx) {
-    budget_->charge();
-    if (!e) unsupported("null expression");
-    switch (e->kind) {
-      case ExprKind::kNumber: {
-        const auto& n = e->number;
-        checked_width(n.width);
-        return from_value(Value::with_xz(n.value, n.xz_mask, n.width));
-      }
-      case ExprKind::kIdent:
-        return read_signal(lookup(e->ident), ctx);
-      case ExprKind::kBitSelect: {
-        const std::size_t id = lookup(e->ident);
-        const int sw = design_.signals[id].width;
-        const Word idx = eval(e->operands[0], ctx);
-        Value iv;
-        if (word_const(idx, &iv)) {
-          if (!iv.is_fully_defined()) return all_x(1);
-          if (iv.bits() >= static_cast<std::uint64_t>(sw)) return all_x(1);
-          Word out(1);
-          out.bits[0] = read_bit(id, static_cast<int>(iv.bits()), ctx);
-          return out;
-        }
-        // Symbolic index: one-hot select over every bit, X when the index is
-        // unknown or out of range (Simulator::eval kBitSelect).
-        const Word base = read_signal(id, ctx);
-        const Lit defined = lit_not(any_x(idx));
-        Lit sel_v = kFalse, sel_def = kFalse;
-        for (int j = 0; j < sw; ++j) {
-          const Lit eq = eq_const(idx, static_cast<std::uint64_t>(j));
-          sel_v = lor(sel_v, land(eq, base.bits[static_cast<std::size_t>(j)].v));
-          sel_def = lor(sel_def, land(eq, lit_not(base.bits[static_cast<std::size_t>(j)].x)));
-        }
-        Word out(1);
-        out.bits[0] = Bit{land(defined, sel_v), lit_not(land(defined, sel_def))};
-        return out;
-      }
-      case ExprKind::kPartSelect: {
-        const std::size_t id = lookup(e->ident);
-        const int sw = design_.signals[id].width;
-        const int hi = std::max(e->msb, e->lsb), lo = std::min(e->msb, e->lsb);
-        const int w = checked_width(hi - lo + 1);
-        if (lo >= sw) return all_x(w);
-        Word out(w);
-        for (int j = 0; j < w; ++j) {
-          const int sj = lo + j;
-          out.bits[static_cast<std::size_t>(j)] =
-              (sj >= 0 && sj < sw) ? read_bit(id, sj, ctx) : Bit{kFalse, kFalse};
-        }
-        return out;
-      }
-      case ExprKind::kUnary: {
-        const Word a = eval(e->operands[0], ctx);
-        const std::string& op = e->op;
-        if (op == "~") return w_not(a);
-        if (op == "!") return w_logical_not(a);
-        if (op == "-") return w_neg(a);
-        if (op == "&") return w_red_and(a);
-        if (op == "|") return w_red_or(a);
-        if (op == "^") return w_red_xor(a);
-        if (op == "~&") return w_not(w_red_and(a));
-        if (op == "~|") return w_not(w_red_or(a));
-        if (op == "~^" || op == "^~") return w_not(w_red_xor(a));
-        unsupported("unsupported unary operator '" + op + "'");
-      }
-      case ExprKind::kBinary: {
-        const Word a = eval(e->operands[0], ctx);
-        const Word b = eval(e->operands[1], ctx);
-        const std::string& op = e->op;
-        if (op == "&") return w_and(a, b);
-        if (op == "|") return w_or(a, b);
-        if (op == "^") return w_xor(a, b);
-        if (op == "~^" || op == "^~") return w_not(w_xor(a, b));
-        if (op == "~&") return w_not(w_and(a, b));
-        if (op == "~|") return w_not(w_or(a, b));
-        if (op == "+") return w_add(a, b);
-        if (op == "-") return w_sub(a, b);
-        if (op == "*") return w_mul(a, b);
-        if (op == "/" || op == "%" || op == "**") {
-          // No symbolic division: require constants and defer to the exact
-          // Value kernels (which also own the divide-by-zero => X rule).
-          Value av, bv;
-          if (!word_const(a, &av) || !word_const(b, &bv))
-            unsupported("non-constant operand to '" + op + "'");
-          if (op == "/") return from_value(v_div(av, bv));
-          if (op == "%") return from_value(v_mod(av, bv));
-          if (!av.is_fully_defined() || !bv.is_fully_defined())
-            return from_value(Value::all_x(av.width()));
-          std::uint64_t r = 1;  // simulator.cpp's ** loop, verbatim
-          for (std::uint64_t i = 0; i < bv.bits() && i < 64; ++i) r *= av.bits();
-          return from_value(Value::of(r, av.width()));
-        }
-        if (op == "<<" || op == "<<<") return w_shift(a, b, /*left=*/true);
-        if (op == ">>" || op == ">>>") return w_shift(a, b, /*left=*/false);
-        if (op == "==") return w_eq(a, b);
-        if (op == "!=") return w_neq(a, b);
-        if (op == "===") return w_case_eq(a, b, false);
-        if (op == "!==") return w_case_eq(a, b, true);
-        if (op == "<") return w_cmp(a, b, Cmp::kLt);
-        if (op == "<=") return w_cmp(a, b, Cmp::kLe);
-        if (op == ">") return w_cmp(a, b, Cmp::kGt);
-        if (op == ">=") return w_cmp(a, b, Cmp::kGe);
-        if (op == "&&") return w_logical_bin(a, b, /*is_and=*/true);
-        if (op == "||") return w_logical_bin(a, b, /*is_and=*/false);
-        unsupported("unsupported binary operator '" + op + "'");
-      }
-      case ExprKind::kTernary: {
-        const Word c = eval(e->operands[0], ctx);
-        const Lit t_lit = truthy_lit(c);
-        const Lit u_lit = any_x(c);
-        // Constant conditions take exactly one branch, like the simulator —
-        // the untaken branch is never evaluated (it may not even be legal).
-        if (t_lit == kTrue) return eval(e->operands[1], ctx);
-        if (t_lit == kFalse && u_lit == kFalse) return eval(e->operands[2], ctx);
-        const Word t = eval(e->operands[1], ctx);
-        const Word f = eval(e->operands[2], ctx);
-        if (u_lit == kTrue) {
-          // Constant unknown condition: bitwise branch merge at max width.
-          const int w = std::max(t.width(), f.width());
-          const Word tr = resized(t, w), fr = resized(f, w);
-          Word out(w);
-          for (int i = 0; i < w; ++i) {
-            const Bit &tb = tr.bits[static_cast<std::size_t>(i)], &fb = fr.bits[static_cast<std::size_t>(i)];
-            const Lit agree = land(lit_not(lxor(tb.v, fb.v)), land(lit_not(tb.x), lit_not(fb.x)));
-            out.bits[static_cast<std::size_t>(i)] = Bit{land(tb.v, agree), lit_not(agree)};
-          }
-          return out;
-        }
-        // Symbolic condition: the simulator's result width depends on which
-        // branch is taken, so unequal widths cannot be modelled.
-        if (t.width() != f.width())
-          unsupported("ternary branches of different widths under a symbolic condition");
-        Word out(t.width());
-        for (int i = 0; i < t.width(); ++i) {
-          const Bit &tb = t.bits[static_cast<std::size_t>(i)], &fb = f.bits[static_cast<std::size_t>(i)];
-          const Lit agree = land(lit_not(lxor(tb.v, fb.v)), land(lit_not(tb.x), lit_not(fb.x)));
-          const Lit merged_v = land(tb.v, agree);
-          const Lit merged_x = lit_not(agree);
-          out.bits[static_cast<std::size_t>(i)] =
-              Bit{lmux(t_lit, tb.v, lmux(u_lit, merged_v, fb.v)),
-                  lmux(t_lit, tb.x, lmux(u_lit, merged_x, fb.x))};
-        }
-        return out;
-      }
-      case ExprKind::kConcat: {
-        Word acc = eval(e->operands[0], ctx);
-        for (std::size_t i = 1; i < e->operands.size(); ++i)
-          acc = w_concat(acc, eval(e->operands[i], ctx));
-        return acc;
-      }
-      case ExprKind::kReplicate: {
-        const Word inner = eval(e->operands[0], ctx);
-        if (e->repeat * static_cast<std::uint64_t>(inner.width()) > 64)
-          unsupported("replication wider than 64 bits");
-        Word acc = inner;  // repeat == 0 returns the inner value, like eval()
-        for (std::uint64_t i = 1; i < e->repeat; ++i) acc = w_concat(acc, inner);
-        return acc;
-      }
+  // kSelect: the taken branch under a defined condition, the bitwise merge
+  // of both under an unknown one.
+  Word select(const Word& c, const Word& t, const Word& f) {
+    const Lit t_lit = truthy_lit(c);
+    const Lit u_lit = any_x(c);
+    if (t_lit == kTrue) return t;
+    if (t_lit == kFalse && u_lit == kFalse) return f;
+    const int w = std::max(t.width(), f.width());
+    // A symbolic condition cannot pick between two result widths.
+    if (u_lit != kTrue && t.width() != f.width())
+      unsupported("ternary branches of different widths under a symbolic condition");
+    const Word tr = resized(t, w), fr = resized(f, w);
+    Word out(w);
+    for (int i = 0; i < w; ++i) {
+      const Bit &tb = tr.bits[static_cast<std::size_t>(i)], &fb = fr.bits[static_cast<std::size_t>(i)];
+      const Lit agree = land(lit_not(lxor(tb.v, fb.v)), land(lit_not(tb.x), lit_not(fb.x)));
+      out.bits[static_cast<std::size_t>(i)] =
+          Bit{lmux(t_lit, tb.v, lmux(u_lit, land(tb.v, agree), fb.v)),
+              lmux(t_lit, tb.x, lmux(u_lit, lit_not(agree), fb.x))};
     }
-    unsupported("corrupt expression node");
+    return out;
   }
 
-  // --- statements (mirror of Simulator::exec_stmt / assign_lvalue) ----------
-  Overlay merge(Lit sel, Overlay a, Overlay b) {
-    if (sel == kTrue) return a;
-    if (sel == kFalse) return b;
-    for (auto& [id, bits] : a) {
-      auto& other = b.at(id);
-      for (std::size_t i = 0; i < bits.size(); ++i) {
-        OBit& ab = bits[i];
-        const OBit& bb = other[i];
-        if (ab.st == BState::kVal && bb.st == BState::kVal) {
-          ab.bit.v = lmux(sel, ab.bit.v, bb.bit.v);
-          ab.bit.x = lmux(sel, ab.bit.x, bb.bit.x);
-        } else if (!(ab.st == BState::kBottom && bb.st == BState::kBottom)) {
-          ab.st = BState::kPoison;
-        }
-      }
-    }
-    return a;
-  }
-
-  void write_field(std::size_t id, int lo, int hi, const Word& vv, Ctx& ctx) {
-    const int sw = design_.signals[id].width;
-    if (ctx.initial) {
-      for (int j = std::max(lo, 0); j <= hi && j < sw; ++j)
-        state_[id].bits[static_cast<std::size_t>(j)] = vv.bits[static_cast<std::size_t>(j - lo)];
-      return;
-    }
-    auto it = ctx.overlay.find(id);
-    if (it == ctx.overlay.end()) unsupported("write to a signal outside the process target set");
-    for (int j = std::max(lo, 0); j <= hi && j < sw; ++j)
-      it->second[static_cast<std::size_t>(j)] = OBit{BState::kVal, vv.bits[static_cast<std::size_t>(j - lo)]};
-  }
-
-  void symbolic_bit_write(std::size_t id, const Word& idx, const Word& v, Ctx& ctx) {
-    auto it = ctx.overlay.find(id);
-    if (it == ctx.overlay.end()) unsupported("write to a signal outside the process target set");
-    const int sw = design_.signals[id].width;
-    for (int j = 0; j < sw; ++j)
-      if (it->second[static_cast<std::size_t>(j)].st != BState::kVal)
-        unsupported("non-constant bit-select write to a partially-assigned signal");
-    const Word vv = resized(v, 1);
-    // An unknown index writes nothing; otherwise exactly the selected bit is
-    // replaced (assign_lvalue kBitSelect).
-    const Lit defined = lit_not(any_x(idx));
-    for (int j = 0; j < sw; ++j) {
-      const Lit cond = land(defined, eq_const(idx, static_cast<std::uint64_t>(j)));
-      Bit& old = it->second[static_cast<std::size_t>(j)].bit;
-      old.v = lmux(cond, vv.bits[0].v, old.v);
-      old.x = lmux(cond, vv.bits[0].x, old.x);
-    }
-  }
-
-  void assign_lvalue(const ExprPtr& lhs, const Word& v, bool nonblocking, Ctx& ctx) {
-    if (!lhs) unsupported("null lvalue");
-    if (lhs->kind == ExprKind::kConcat) {
-      int total = 0;
-      std::vector<int> widths;
-      for (const auto& part : lhs->operands) {
-        int w = 1;
-        if (part->kind == ExprKind::kIdent) {
-          w = design_.signals[lookup(part->ident)].width;
-        } else if (part->kind == ExprKind::kBitSelect) {
-          w = 1;
-        } else if (part->kind == ExprKind::kPartSelect) {
-          w = std::abs(part->msb - part->lsb) + 1;
-        } else {
-          unsupported("unsupported concat lvalue part");
-        }
-        widths.push_back(w);
-        total += w;
-      }
-      const Word vv = resized(v, total);
-      int offset = total;
-      for (std::size_t i = 0; i < lhs->operands.size(); ++i) {
-        offset -= widths[i];
-        Word slice(widths[i]);
-        for (int j = 0; j < widths[i]; ++j)
-          slice.bits[static_cast<std::size_t>(j)] = vv.bits[static_cast<std::size_t>(offset + j)];
-        assign_lvalue(lhs->operands[i], slice, nonblocking, ctx);
-      }
-      return;
-    }
-
-    const std::size_t id = lookup(lhs->ident);
-    const int sw = design_.signals[id].width;
-    int hi = 0, lo = 0;
-    if (lhs->kind == ExprKind::kIdent) {
-      hi = sw - 1;
-      lo = 0;
-    } else if (lhs->kind == ExprKind::kBitSelect) {
-      const Word idx = eval(lhs->operands[0], ctx);
-      Value iv;
-      if (!word_const(idx, &iv)) {
-        if (ctx.initial || nonblocking) unsupported("symbolic bit-select assignment target");
-        symbolic_bit_write(id, idx, v, ctx);
-        return;
-      }
-      if (!iv.is_fully_defined()) return;  // x index: no assignment
-      if (iv.bits() >= static_cast<std::uint64_t>(sw)) return;
-      hi = lo = static_cast<int>(iv.bits());
-    } else if (lhs->kind == ExprKind::kPartSelect) {
-      hi = std::max(lhs->msb, lhs->lsb);
-      lo = std::min(lhs->msb, lhs->lsb);
-    } else {
-      unsupported("unsupported lvalue");
-    }
-
-    const Word vv = resized(v, hi - lo + 1);
-    if (nonblocking) {
-      ctx.nba->push_back(NbaWrite{id, hi, lo, vv});
-      return;
-    }
-    write_field(id, lo, hi, vv, ctx);
-  }
-
-  Lit match_lit(const Word& subject, const ExprPtr& label, CaseKind kind, Ctx& ctx) {
-    const Word lv = eval(label, ctx);
-    const int w = std::max(subject.width(), lv.width());
-    const Word sv = resized(subject, w), lr = resized(lv, w);
+  // kCaseCmp: 1 iff the subject matches the label outside the wildcard bits.
+  Word case_match(const Word& subject, const Word& label, CaseKind kind) {
+    const int w = std::max(subject.width(), label.width());
+    const Word sv = resized(subject, w), lv = resized(label, w);
     Lit m = kTrue;
     for (int i = 0; i < w; ++i) {
-      const Bit &sb = sv.bits[static_cast<std::size_t>(i)], &lb = lr.bits[static_cast<std::size_t>(i)];
+      const Bit &sb = sv.bits[static_cast<std::size_t>(i)], &lb = lv.bits[static_cast<std::size_t>(i)];
       Lit wildcard = kFalse;
       if (kind == CaseKind::kCasez) wildcard = lb.x;
       else if (kind == CaseKind::kCasex) wildcard = lor(lb.x, sb.x);
-      const Lit same = land(lit_not(lxor(sb.v, lb.v)), lit_not(lxor(sb.x, lb.x)));
-      m = land(m, lor(wildcard, same));
+      m = land(m, lor(wildcard, land(lit_not(lxor(sb.v, lb.v)), lit_not(lxor(sb.x, lb.x)))));
     }
-    return m;
+    Word out(1);
+    out.bits[0] = Bit{m, kFalse};
+    return out;
   }
 
-  void exec_stmt(const StmtPtr& s, Ctx& ctx) {
-    if (!s) return;
-    budget_->charge();
-    switch (s->kind) {
-      case StmtKind::kBlock:
-        for (const auto& c : s->stmts) exec_stmt(c, ctx);
-        return;
-      case StmtKind::kBlockingAssign:
-        assign_lvalue(s->lhs, eval(s->rhs, ctx), /*nonblocking=*/false, ctx);
-        return;
-      case StmtKind::kNonblockingAssign:
-        if (!ctx.initial) unsupported("nonblocking assignment in a combinational process");
-        assign_lvalue(s->lhs, eval(s->rhs, ctx), /*nonblocking=*/true, ctx);
-        return;
-      case StmtKind::kIf: {
-        const Word c = eval(s->cond, ctx);
-        const Lit t_lit = truthy_lit(c);
-        // Unknown conditions branch false (Simulator::exec_stmt kIf uses
-        // truthy()), so the two-way split is exact.
-        if (t_lit == kTrue) {
-          exec_stmt(s->then_branch, ctx);
-          return;
-        }
-        if (t_lit == kFalse) {
-          exec_stmt(s->else_branch, ctx);
-          return;
-        }
-        if (ctx.initial) unsupported("symbolic branch in an initial block");
-        Overlay saved = ctx.overlay;
-        exec_stmt(s->then_branch, ctx);
-        Overlay then_env = std::move(ctx.overlay);
-        ctx.overlay = std::move(saved);
-        exec_stmt(s->else_branch, ctx);
-        ctx.overlay = merge(t_lit, std::move(then_env), std::move(ctx.overlay));
-        return;
-      }
-      case StmtKind::kCase: {
-        exec_case(s, ctx);
-        return;
-      }
-      case StmtKind::kFor: {
-        assign_lvalue(s->lhs, eval(s->rhs, ctx), /*nonblocking=*/false, ctx);
-        int iterations = 0;
-        for (;;) {
-          const Word c = eval(s->cond, ctx);
-          Value cv;
-          if (!word_const(c, &cv)) unsupported("non-constant for-loop condition");
-          if (!cv.truthy()) break;
-          if (++iterations > kMaxLoopIterations) unsupported("for-loop iteration limit exceeded");
-          exec_stmt(s->body, ctx);
-          assign_lvalue(s->step_lhs, eval(s->step_rhs, ctx), /*nonblocking=*/false, ctx);
-        }
-        return;
-      }
-    }
-    unsupported("corrupt statement node");
+  // kDiv, kMod, kPow: no symbolic division, so both operands must be
+  // constant; the exact Value kernels (and the simulator's ** loop) decide.
+  Word const_arith(Op op, const Word& a, const Word& b) {
+    Value av, bv;
+    if (!word_const(a, &av) || !word_const(b, &bv))
+      unsupported(std::string("non-constant operand to '") +
+                  (op == Op::kDiv ? "/" : op == Op::kMod ? "%" : "**") + "'");
+    if (op == Op::kDiv) return from_value(v_div(av, bv));
+    if (op == Op::kMod) return from_value(v_mod(av, bv));
+    if (!av.is_fully_defined() || !bv.is_fully_defined()) return all_x(av.width());
+    std::uint64_t r = 1;
+    for (std::uint64_t i = 0; i < bv.bits() && i < 64; ++i) r *= av.bits();
+    return from_value(Value::of(r, av.width()));
   }
 
-  void exec_case(const StmtPtr& s, Ctx& ctx) {
-    const Word subject = eval(s->cond, ctx);
-    const verilog::CaseItem* default_item = nullptr;
-    struct Arm {
-      Lit m;
-      const verilog::CaseItem* item;
-    };
-    std::vector<Arm> arms;
-    bool saturated = false;
-    for (const auto& item : s->case_items) {
-      if (item.labels.empty()) {
-        default_item = &item;  // last default wins, like the simulator's scan
-        continue;
-      }
-      Lit m = kFalse;
-      for (const auto& label : item.labels) {
-        m = lor(m, match_lit(subject, label, s->case_kind, ctx));
-        if (m == kTrue) break;  // the simulator stops at the first match
-      }
-      if (m == kFalse) continue;  // provably never taken
-      arms.push_back(Arm{m, &item});
-      if (m == kTrue) {
-        saturated = true;  // later items (and a later default) are unreachable
-        break;
-      }
-    }
-
-    if (arms.empty()) {
-      if (default_item) exec_stmt(default_item->body, ctx);
-      return;
-    }
-    if (arms.size() == 1 && arms[0].m == kTrue) {
-      exec_stmt(arms[0].item->body, ctx);
-      return;
-    }
-    if (ctx.initial) unsupported("symbolic case selection in an initial block");
-
-    // Priority chain m1 ? A1 : (m2 ? A2 : ... : default), built back to
-    // front. Each arm executes against the pre-case overlay; non-matching
-    // vectors fall through to whatever the tail produced.
-    const Overlay incoming = ctx.overlay;
-    if (saturated) {
-      ctx.overlay = incoming;  // tail unreachable: placeholder, merged away by m == kTrue
-    } else if (default_item) {
-      exec_stmt(default_item->body, ctx);
-    }
-    for (auto it = arms.rbegin(); it != arms.rend(); ++it) {
-      Overlay tail = std::move(ctx.overlay);
-      ctx.overlay = incoming;
-      exec_stmt(it->item->body, ctx);
-      ctx.overlay = merge(it->m, std::move(ctx.overlay), std::move(tail));
-    }
+  // One signal bit written under path condition p.
+  void store_bit(Lit p, const Bit& v, Bit* cur) {
+    cur->v = lmux(p, v.v, cur->v);
+    cur->x = lmux(p, v.x, cur->x);
   }
 
-  // --- static analysis over process bodies ----------------------------------
-  static void expr_idents(const ExprPtr& e, std::set<std::string>* out) {
-    if (!e) return;
-    if (e->kind == ExprKind::kIdent || e->kind == ExprKind::kBitSelect ||
-        e->kind == ExprKind::kPartSelect) {
-      out->insert(e->ident);
-    }
-    for (const auto& op : e->operands) expr_idents(op, out);
-  }
-
-  // Identifiers read by lvalue index expressions (everything a continuous
-  // assignment reads that is NOT in its elaborated read set).
-  static void lvalue_index_reads(const ExprPtr& lhs, std::set<std::string>* out) {
-    if (!lhs) return;
-    if (lhs->kind == ExprKind::kConcat) {
-      for (const auto& part : lhs->operands) lvalue_index_reads(part, out);
-      return;
-    }
-    if (lhs->kind == ExprKind::kBitSelect) expr_idents(lhs->operands[0], out);
-  }
-
-  void lvalue_targets(const ExprPtr& lhs, bool strict,
-                      std::map<std::size_t, std::uint64_t>* masks) const {
-    if (!lhs) {
-      if (strict) unsupported("null lvalue");
-      return;
-    }
-    if (lhs->kind == ExprKind::kConcat) {
-      for (const auto& part : lhs->operands) lvalue_targets(part, strict, masks);
-      return;
-    }
-    if (lhs->kind != ExprKind::kIdent && lhs->kind != ExprKind::kBitSelect &&
-        lhs->kind != ExprKind::kPartSelect) {
-      if (strict) unsupported("unsupported lvalue");
-      return;
-    }
-    const auto it = design_.signal_ids.find(lhs->ident);
-    if (it == design_.signal_ids.end()) {
-      if (strict) unsupported("assignment to undeclared identifier '" + lhs->ident + "'");
-      return;
-    }
-    const int sw = design_.signals[it->second].width;
-    const std::uint64_t full = sw >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << sw) - 1);
-    std::uint64_t mask = full;
-    if (lhs->kind == ExprKind::kPartSelect) {
-      const int lo = std::clamp(std::min(lhs->msb, lhs->lsb), 0, 63);
-      const int hi = std::min({std::max(lhs->msb, lhs->lsb), sw - 1, 63});
-      mask = hi < lo ? 0
-                     : ((hi - lo + 1 >= 64 ? ~std::uint64_t{0}
-                                           : ((std::uint64_t{1} << (hi - lo + 1)) - 1))
-                        << lo);
-    }
-    // kBitSelect keeps the full mask: the index is not known statically.
-    (*masks)[it->second] |= mask;
-  }
-
-  void collect_targets(const StmtPtr& s, bool strict, std::map<std::size_t, std::uint64_t>* masks,
-                       bool* has_nba) const {
-    if (!s) return;
-    switch (s->kind) {
-      case StmtKind::kBlock:
-        for (const auto& c : s->stmts) collect_targets(c, strict, masks, has_nba);
-        return;
-      case StmtKind::kBlockingAssign:
-        lvalue_targets(s->lhs, strict, masks);
-        return;
-      case StmtKind::kNonblockingAssign:
-        *has_nba = true;
-        lvalue_targets(s->lhs, strict, masks);
-        return;
-      case StmtKind::kIf:
-        collect_targets(s->then_branch, strict, masks, has_nba);
-        collect_targets(s->else_branch, strict, masks, has_nba);
-        return;
-      case StmtKind::kCase:
-        for (const auto& item : s->case_items) collect_targets(item.body, strict, masks, has_nba);
-        return;
-      case StmtKind::kFor:
-        lvalue_targets(s->lhs, strict, masks);
-        lvalue_targets(s->step_lhs, strict, masks);
-        collect_targets(s->body, strict, masks, has_nba);
-        return;
-    }
-  }
+  void exec(const Program& prog, const sim::ProgProcess& proc);
 
   Aig* aig_;
   Budget* budget_;
-  const ElabDesign& design_;
-  const std::map<std::string, std::vector<Lit>>& input_vars_;
-  std::vector<Word> state_;
+  std::vector<Word> regs_;  // [0, signals) = signal state, then scratch
 };
 
-std::vector<Word> Lowerer::run() {
-  // 1. Power-on: every signal all-X (Simulator constructor).
-  state_.reserve(design_.signals.size());
-  for (const auto& sig : design_.signals) state_.push_back(all_x(checked_width(sig.width)));
-
-  // 2. Initial blocks in process order, then their queued NBAs commit
-  // immediately (Simulator::run_initial_blocks).
-  {
-    std::vector<NbaWrite> nba;
-    Ctx ictx;
-    ictx.initial = true;
-    ictx.nba = &nba;
-    for (const auto& p : design_.processes)
-      if (p.kind == ProcessKind::kInitial && p.body) exec_stmt(p.body, ictx);
-    for (const auto& w : nba) write_field(w.id, w.lo, w.hi, w.value, ictx);
-  }
-
-  // 3. Classify processes. A comb/cont-assign process executes iff at least
-  // one of its read-set names is a known signal (the constructor seeds every
-  // signal dirty, and comb_watchers are built from known names only).
-  struct CombProc {
-    std::size_t pi = 0;
-    std::map<std::size_t, std::uint64_t> writes;
-    std::set<std::size_t> reads;
+// Runs one levelized combinational process once over the symbolic register
+// file. Control flow is forward only (a levelized body holds no loop), so pc
+// order is a topological order of the flow graph and one sweep visits every
+// pc after all of its predecessors. Each pc carries a path-condition literal;
+// a pc no input reaches (literal FALSE) is skipped, which mirrors the
+// simulator never evaluating an untaken branch.
+void Lowerer::exec(const Program& prog, const sim::ProgProcess& proc) {
+  const std::uint32_t n = proc.end - proc.begin;  // local pc n = process exit
+  const Instr* code = prog.code.data() + proc.begin;
+  const auto succ = [&](std::uint32_t i, std::uint32_t out[2]) {
+    const Instr& in = code[i];
+    if (in.op != Op::kJump && in.op != Op::kJumpIfTrue && in.op != Op::kJumpIfFalse) {
+      out[0] = i + 1;
+      return 1;
+    }
+    const std::uint32_t to = in.dst - proc.begin;
+    if (in.dst < proc.begin || to <= i || to > n) unsupported("backward jump");
+    out[0] = in.op == Op::kJump ? to : i + 1;
+    out[1] = to;
+    return in.op == Op::kJump ? 1 : 2;
   };
-  std::vector<CombProc> comb;
-  std::set<std::size_t> edge_ids;
-  std::map<std::size_t, std::uint64_t> clocked_writes;
-  for (std::size_t pi = 0; pi < design_.processes.size(); ++pi) {
-    const ElabProcess& p = design_.processes[pi];
-    if (p.kind == ProcessKind::kInitial) continue;
-    if (p.kind == ProcessKind::kClocked) {
-      for (const auto& e : p.edges) {
-        const auto it = design_.signal_ids.find(e.signal);
-        // The simulator throws ElabError at construction for this; fall back
-        // so it reproduces the fault.
-        if (it == design_.signal_ids.end()) unsupported("edge on unknown signal '" + e.signal + "'");
-        edge_ids.insert(it->second);
+
+  // Dominators forward, post-dominators backward (pc order is topological).
+  // A join that post-dominates its immediate dominator runs on exactly the
+  // paths that reach the dominator, so it takes the dominator's literal: the
+  // end of an if or a case gets back the literal it started with, not an OR
+  // of its arms that only a decision procedure could fold.
+  constexpr std::uint32_t kUnreached = UINT32_MAX;
+  std::vector<std::uint32_t> idom(n + 1, kUnreached), ipdom(n + 1, n);
+  idom[0] = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (idom[i] == kUnreached) continue;
+    std::uint32_t s[2];
+    for (int k = 0, ns = succ(i, s); k < ns; ++k) {
+      std::uint32_t a = idom[s[k]] == kUnreached ? i : idom[s[k]], b = i;
+      while (a != b) {
+        if (a > b) a = idom[a];
+        else b = idom[b];
       }
-      bool nba = false;
-      collect_targets(p.body, /*strict=*/false, &clocked_writes, &nba);
-      continue;
+      idom[s[k]] = a;
     }
-    bool watched = false;
-    CombProc cp;
-    cp.pi = pi;
-    for (const auto& name : p.read_set) {
-      const auto it = design_.signal_ids.find(name);
-      if (it != design_.signal_ids.end()) {
-        watched = true;
-        cp.reads.insert(it->second);
+  }
+  for (std::uint32_t i = n; i-- > 0;) {
+    std::uint32_t s[2];
+    const int ns = succ(i, s);
+    std::uint32_t a = s[0];
+    for (int k = 1; k < ns; ++k) {
+      std::uint32_t b = s[k];
+      while (a != b) {
+        if (a < b) a = ipdom[a];
+        else b = ipdom[b];
       }
     }
-    if (!watched) continue;  // never triggered: targets keep initial values
-    std::set<std::string> needed;
-    if (p.kind == ProcessKind::kComb) {
-      if (!p.body) continue;
-      bool has_nba = false;
-      collect_targets(p.body, /*strict=*/true, &cp.writes, &has_nba);
-      // A comb-queued NBA only commits when a clocked process fires, which
-      // never happens in the designs we accept.
-      if (has_nba) unsupported("nonblocking assignment in a combinational process");
-      needed = sim::statement_read_set(p.body);
-    } else {  // kContAssign
-      lvalue_targets(p.lhs, /*strict=*/true, &cp.writes);
-      expr_idents(p.rhs, &needed);
-      lvalue_index_reads(p.lhs, &needed);
+    ipdom[i] = a;
+  }
+  std::vector<bool> joins_dom(n + 1, true);
+  for (std::uint32_t j = 1; j < n; ++j) {
+    if (idom[j] == kUnreached) continue;
+    std::uint32_t x = idom[j];
+    while (x < j) x = ipdom[x];
+    joins_dom[j] = x == j;
+  }
+
+  std::vector<Lit> path(n + 1, kFalse);  // else: OR of the incoming edges
+  path[0] = kTrue;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (idom[i] == kUnreached) continue;
+    if (i > 0 && joins_dom[i]) path[i] = path[idom[i]];
+    const Lit p = path[i];
+    if (p == kFalse) continue;
+    budget_->charge();
+    const Instr& in = code[i];
+    std::vector<Word>& r = regs_;
+    // Scratch registers are written once and read only below that write, so
+    // only signal stores need muxing by the path condition.
+    Lit jump = kFalse;  // condition, under p, of taking the jump edge
+    switch (in.op) {
+      case Op::kConst:
+        if (in.mode != 0) unsupported("literal width outside 1..64");
+        r[in.dst] = from_value(prog.consts[in.a]);
+        break;
+      case Op::kAnd: r[in.dst] = w_and(r[in.a], r[in.b]); break;
+      case Op::kOr: r[in.dst] = w_or(r[in.a], r[in.b]); break;
+      case Op::kXor: r[in.dst] = w_xor(r[in.a], r[in.b]); break;
+      case Op::kAdd: r[in.dst] = w_add(r[in.a], r[in.b]); break;
+      case Op::kSub: r[in.dst] = w_sub(r[in.a], r[in.b]); break;
+      case Op::kMul: r[in.dst] = w_mul(r[in.a], r[in.b]); break;
+      case Op::kDiv:
+      case Op::kMod:
+      case Op::kPow: r[in.dst] = const_arith(in.op, r[in.a], r[in.b]); break;
+      case Op::kShl: r[in.dst] = w_shift(r[in.a], r[in.b], /*left=*/true); break;
+      case Op::kShr: r[in.dst] = w_shift(r[in.a], r[in.b], /*left=*/false); break;
+      case Op::kEq: r[in.dst] = w_eq(r[in.a], r[in.b]); break;
+      case Op::kNeq: r[in.dst] = w_neq(r[in.a], r[in.b]); break;
+      case Op::kCaseEq: r[in.dst] = w_case_eq(r[in.a], r[in.b]); break;
+      case Op::kLt: r[in.dst] = w_cmp(r[in.a], r[in.b], Cmp::kLt); break;
+      case Op::kLe: r[in.dst] = w_cmp(r[in.a], r[in.b], Cmp::kLe); break;
+      case Op::kGt: r[in.dst] = w_cmp(r[in.a], r[in.b], Cmp::kGt); break;
+      case Op::kGe: r[in.dst] = w_cmp(r[in.a], r[in.b], Cmp::kGe); break;
+      case Op::kLogAnd: r[in.dst] = w_logical_bin(r[in.a], r[in.b], /*is_and=*/true); break;
+      case Op::kLogOr: r[in.dst] = w_logical_bin(r[in.a], r[in.b], /*is_and=*/false); break;
+      case Op::kNot: r[in.dst] = w_not(r[in.a]); break;
+      case Op::kNeg: r[in.dst] = w_neg(r[in.a]); break;
+      case Op::kLogNot: r[in.dst] = w_logical_not(r[in.a]); break;
+      case Op::kRedAnd: r[in.dst] = w_red_and(r[in.a]); break;
+      case Op::kRedOr: r[in.dst] = w_red_or(r[in.a]); break;
+      case Op::kRedXor: r[in.dst] = w_red_xor(r[in.a]); break;
+      case Op::kSelect: r[in.dst] = select(r[in.a], r[in.b], r[in.c]); break;
+      case Op::kConcat: r[in.dst] = w_concat(r[in.a], r[in.b]); break;
+      case Op::kReplicate: {
+        const Word inner = r[in.a];
+        if (std::uint64_t{in.b} * static_cast<std::uint64_t>(inner.width()) > 64)
+          unsupported("replication wider than 64 bits");
+        Word acc = inner;
+        for (std::uint32_t k = 1; k < in.b; ++k) acc = w_concat(acc, inner);
+        r[in.dst] = std::move(acc);
+        break;
+      }
+      case Op::kSlice: {
+        // mode 1: a part select wholly past its signal, all-X.
+        const int w = checked_width(static_cast<int>(in.c));
+        if (in.mode != 0) {
+          r[in.dst] = all_x(w);
+          break;
+        }
+        const Word& a = r[in.a];
+        Word out(w);
+        for (int j = 0; j < w; ++j) {
+          const int src = static_cast<int>(in.b) + j;
+          if (src < a.width()) out.bits[static_cast<std::size_t>(j)] = a.bits[static_cast<std::size_t>(src)];
+          else out.bits[static_cast<std::size_t>(j)] = Bit{kFalse, kFalse};
+        }
+        r[in.dst] = std::move(out);
+        break;
+      }
+      case Op::kBitDyn: r[in.dst] = bit_select(r[in.a], r[in.b]); break;
+      case Op::kResize: r[in.dst] = resized(r[in.a], static_cast<int>(in.b)); break;
+      case Op::kCaseCmp:
+        r[in.dst] = case_match(r[in.a], r[in.b], static_cast<CaseKind>(in.mode));
+        break;
+      case Op::kJump: jump = kTrue; break;
+      case Op::kJumpIfTrue: jump = truthy_lit(r[in.a]); break;
+      case Op::kJumpIfFalse: jump = lit_not(truthy_lit(r[in.a])); break;
+      case Op::kStep: break;
+      case Op::kStoreSig: {
+        // Bits [c, b] of the signal; bits past its width are dropped.
+        const int hi = static_cast<int>(in.b), lo = static_cast<int>(in.c);
+        const Word v = resized(r[in.a], hi - lo + 1);
+        Word& sig = r[in.dst];
+        for (int j = std::max(lo, 0); j <= hi && j < sig.width(); ++j)
+          store_bit(p, v.bits[static_cast<std::size_t>(j - lo)], &sig.bits[static_cast<std::size_t>(j)]);
+        break;
+      }
+      case Op::kStoreBitDyn: {
+        // An unknown or out-of-range index writes nothing.
+        const Word& idx = r[in.b];
+        const Bit v = r[in.a].bits[0];
+        Word& sig = r[in.dst];
+        const Lit on = land(p, lit_not(any_x(idx)));
+        for (int j = 0; j < sig.width(); ++j)
+          store_bit(land(on, eq_const(idx, static_cast<std::uint64_t>(j))), v,
+                    &sig.bits[static_cast<std::size_t>(j)]);
+        break;
+      }
+      default:
+        // kThrow, kNba*, loop ops and the branchy-ternary ops never occur in
+        // a levelized combinational process.
+        unsupported("instruction outside the levelized combinational fragment");
     }
-    // Sensitivity completeness: every signal the process reads must also
-    // retrigger it, or the settled value depends on event order.
-    for (const auto& n : needed)
-      if (design_.signal_ids.contains(n) && !p.read_set.contains(n))
-        unsupported("incomplete sensitivity list");
-    comb.push_back(std::move(cp));
-  }
-
-  // 4. Single combinational driver per signal, and never an input port
-  // (poking would race the driver).
-  std::map<std::size_t, std::size_t> writer;  // signal id -> comb index
-  for (std::size_t ci = 0; ci < comb.size(); ++ci) {
-    for (const auto& [id, mask] : comb[ci].writes) {
-      (void)mask;
-      if (design_.signals[id].is_input) unsupported("combinational process drives an input port");
-      if (!writer.emplace(id, ci).second) unsupported("signal has multiple combinational drivers");
+    std::uint32_t s[2];
+    const int ns = succ(i, s);
+    for (int k = 0; k < ns; ++k) {
+      const Lit edge = ns == 1 ? kTrue : k == 1 ? jump : lit_not(jump);
+      if (!joins_dom[s[k]]) path[s[k]] = lor(path[s[k]], land(p, edge));
     }
   }
+}
 
-  // 5. Clocked processes must never fire: their edge signals have to be
-  // static after construction. Initial-only writes are fine — the edge
-  // baseline is captured after initial blocks run.
-  for (const std::size_t id : edge_ids) {
-    if (input_vars_.contains(design_.signals[id].name)) unsupported("clock edge on a swept input");
-    if (writer.contains(id)) unsupported("clock edge on a combinationally driven signal");
-    if (clocked_writes.contains(id)) unsupported("clock edge on a clocked-process target");
+std::vector<Word> Lowerer::run(const sim::ElabDesign& design,
+                               const std::map<std::string, std::vector<Lit>>& input_vars) {
+  // 1. The simulator's own lowering and schedule. Anything the levelizer
+  // keeps event-driven is not a pure function of the current inputs.
+  Program prog;
+  try {
+    prog = sim::compile(design);
+    if (!prog.levelized) unsupported(prog.levelize_failure);
+    // 2. The post-initial state: power-up X, then initial blocks and their
+    // NBA commit, run by the simulator itself.
+    regs_.assign(prog.num_regs, Word(1));
+    if (prog.initial_procs.empty()) {
+      for (std::size_t s = 0; s < prog.signals.size(); ++s)
+        regs_[s] = all_x(checked_width(prog.signals[s].width));
+    } else {
+      const sim::CompiledSimulator init = sim::CompiledSimulator::unsettled(prog);
+      if (!init.converged()) unsupported("initial block did not converge");
+      for (std::uint32_t s = 0; s < prog.signals.size(); ++s)
+        regs_[s] = from_value(init.peek(sim::SignalHandle{s}));
+    }
+  } catch (const sim::ElabError& e) {
+    unsupported(e.what());
+  } catch (const std::invalid_argument& e) {
+    unsupported(e.what());
   }
 
-  // 6. Bind the swept inputs. The harness pokes Value::of(slice, elab width),
+  // 3. A comb process runs iff its read set names a signal (the constructor
+  // marks every signal dirty; watcher lists hold known names only).
+  std::vector<bool> triggered(prog.processes.size(), false);
+  for (const auto& watchers : prog.comb_watchers)
+    for (const std::uint32_t pi : watchers) triggered[pi] = true;
+
+  // 4. No clocked process may ever fire: every edge signal stays static after
+  // construction. Targets come from the store ops in each process's code.
+  std::vector<bool> comb_driven(prog.signals.size(), false);
+  std::vector<bool> clocked_target(prog.signals.size(), false);
+  for (std::size_t pi = 0; pi < prog.processes.size(); ++pi) {
+    const sim::ProgProcess& proc = prog.processes[pi];
+    const bool comb = proc.kind == ProcessKind::kComb || proc.kind == ProcessKind::kContAssign;
+    if (comb ? !triggered[pi] : proc.kind != ProcessKind::kClocked) continue;
+    for (std::uint32_t pc = proc.begin; pc < proc.end; ++pc) {
+      const Instr& in = prog.code[pc];
+      if (in.op != Op::kStoreSig && in.op != Op::kStoreBitDyn && in.op != Op::kNbaSig &&
+          in.op != Op::kNbaBitDyn)
+        continue;
+      if (!comb) {
+        clocked_target[in.dst] = true;
+        continue;
+      }
+      // Poking the port would race its driver.
+      if (prog.signals[in.dst].is_input) unsupported("combinational process drives an input port");
+      comb_driven[in.dst] = true;
+    }
+  }
+  for (const std::uint32_t s : prog.edge_sigs) {
+    if (input_vars.contains(prog.signals[s].name)) unsupported("clock edge on a swept input");
+    if (comb_driven[s]) unsupported("clock edge on a combinationally driven signal");
+    if (clocked_target[s]) unsupported("clock edge on a clocked-process target");
+  }
+
+  // 5. Bind the swept inputs. The harness pokes Value::of(slice, elab width),
   // so bits above the port width are defined zeros.
-  for (const auto& [name, vars] : input_vars_) {
-    const auto it = design_.signal_ids.find(name);
-    if (it == design_.signal_ids.end()) unsupported("swept input '" + name + "' is not a signal");
-    const std::size_t id = it->second;
-    const int sw = design_.signals[id].width;
-    Word w(sw);
-    for (int i = 0; i < sw; ++i)
-      w.bits[static_cast<std::size_t>(i)] =
-          static_cast<std::size_t>(i) < vars.size() ? Bit{vars[static_cast<std::size_t>(i)], kFalse}
-                                                    : Bit{kFalse, kFalse};
-    state_[id] = w;
+  for (const auto& [name, vars] : input_vars) {
+    const auto it = prog.signal_slots.find(name);
+    if (it == prog.signal_slots.end()) unsupported("swept input '" + name + "' is not a signal");
+    Word& w = regs_[it->second];
+    for (std::size_t i = 0; i < w.bits.size(); ++i)
+      w.bits[i] = i < vars.size() ? Bit{vars[i], kFalse} : Bit{kFalse, kFalse};
   }
 
-  // 7. Topological order over the writer -> reader dependency graph. A cycle
-  // or excessive depth may not settle within the simulator's delta budget.
-  const std::size_t n = comb.size();
-  std::vector<std::vector<std::size_t>> succ(n);
-  std::vector<std::size_t> indeg(n, 0);
-  for (std::size_t ci = 0; ci < n; ++ci) {
-    std::set<std::size_t> preds;
-    for (const std::size_t rid : comb[ci].reads) {
-      const auto wit = writer.find(rid);
-      if (wit != writer.end() && wit->second != ci) preds.insert(wit->second);
-    }
-    for (const std::size_t p : preds) {
-      succ[p].push_back(ci);
-      ++indeg[ci];
-    }
-  }
-  std::vector<std::size_t> order;
-  std::vector<int> depth(n, 0);
-  std::set<std::size_t> ready;
-  for (std::size_t ci = 0; ci < n; ++ci)
-    if (indeg[ci] == 0) ready.insert(ci);
-  while (!ready.empty()) {
-    const std::size_t ci = *ready.begin();
-    ready.erase(ready.begin());
-    order.push_back(ci);
-    for (const std::size_t s : succ[ci]) {
-      depth[s] = std::max(depth[s], depth[ci] + 1);
-      if (--indeg[s] == 0) ready.insert(s);
-    }
-  }
-  if (order.size() != n) unsupported("combinational dependency cycle");
-  for (const int d : depth)
-    if (d > kMaxCombDepth) unsupported("combinational depth exceeds the delta-cycle budget");
-
-  // 8. Evaluate each process once in dependency order, committing its overlay
-  // before any reader runs. One pass equals the simulator's fixpoint because
-  // every accepted process is a pure function of already-final values.
-  for (const std::size_t ci : order) {
-    const ElabProcess& p = design_.processes[comb[ci].pi];
-    Ctx ctx;
-    ctx.write_masks = &comb[ci].writes;
-    for (const auto& [id, mask] : comb[ci].writes) {
-      (void)mask;
-      ctx.overlay.emplace(id, std::vector<OBit>(static_cast<std::size_t>(design_.signals[id].width)));
-    }
-    if (p.kind == ProcessKind::kContAssign)
-      assign_lvalue(p.lhs, eval(p.rhs, ctx), /*nonblocking=*/false, ctx);
-    else
-      exec_stmt(p.body, ctx);
-    for (const auto& [id, bits] : ctx.overlay) {
-      for (std::size_t j = 0; j < bits.size(); ++j) {
-        if (bits[j].st == BState::kVal)
-          state_[id].bits[j] = bits[j].bit;
-        else if (bits[j].st == BState::kPoison)
-          unsupported("signal latches: assigned on some but not all paths");
-        // kBottom: never written this activation, keeps its settled value.
-      }
-    }
-  }
-  return std::move(state_);
+  // 6. One run of every triggered comb process in the levelized order equals
+  // the simulator's settle: levelization guarantees one writer per bit, no
+  // cycle, every target bit written on every path, and no read of a target
+  // before its write.
+  for (const std::uint32_t pi : prog.comb_order)
+    if (triggered[pi]) exec(prog, prog.processes[pi]);
+  regs_.resize(prog.signals.size());
+  return std::move(regs_);
 }
 
 }  // namespace
 
 std::vector<Word> lower_design(Aig* aig, const sim::ElabDesign& design,
                                const std::map<std::string, std::vector<Lit>>& input_vars) {
-  return Lowerer(aig, design, input_vars).run();
+  return Lowerer(aig).run(design, input_vars);
 }
 
 }  // namespace haven::prove

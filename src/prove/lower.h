@@ -3,19 +3,22 @@
 //
 // Each 4-state signal bit becomes a (value, unknown) literal pair with the
 // same invariant sim::Value::normalize enforces: an unknown bit carries no
-// defined value (v implies !x). lower_design() replays the simulator's
-// construction sequence symbolically — initial blocks on the all-X state,
-// NBA commit, input binding, then one pure-function evaluation of every
-// triggered combinational process in dependency order — so the returned
-// words are, bit for bit, the values sim::run_diff_test would observe after
-// poking the corresponding input vector.
+// defined value (v implies !x). lower_design() compiles the design with
+// sim::compile — the compiled simulator's own bytecode and levelized
+// schedule — takes the post-initial state from the simulator's own code,
+// binds the swept inputs, and runs each triggered combinational process of
+// Program::comb_order once over dual-rail words, one symbolic handler per
+// Op. The returned words are, bit for bit, the values sim::run_diff_test
+// would observe after poking the corresponding input vector.
 //
 // Anything whose event-driven behaviour is NOT a pure function of the
-// current inputs (latches from partial assignment, incomplete sensitivity,
-// comb feedback, nonblocking assigns in comb processes, clocked processes
-// whose edge could ever fire, ...) throws UnsupportedError and the verdict
-// falls back to simulation. The fallback is the soundness valve: the prover
-// never guesses, it either reproduces the simulator exactly or declines.
+// current inputs throws UnsupportedError and the verdict falls back to
+// simulation: a design the levelizer keeps event-driven (latches, comb
+// feedback, nonblocking assigns or loops in comb processes, ...; the reason
+// names the failed rule), a clocked process whose edge could ever fire, or
+// an operator the words cannot model. The fallback is the soundness valve:
+// the prover never guesses, it either reproduces the simulator exactly or
+// declines.
 #pragma once
 
 #include <map>

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "lint/dataflow.h"
 #include "prove/aig.h"
 #include "prove/bdd.h"
 #include "prove/lower.h"
@@ -100,7 +99,6 @@ bool spec_provable(const Module& golden, const sim::StimulusSpec& spec) {
 bool golden_provable(const Module& golden, const SourceFile* golden_file,
                      const sim::StimulusSpec& spec, const ProveOptions& opts) {
   if (!spec_provable(golden, spec)) return false;
-  if (!lint::build_dataflow(golden, golden_file).comb_cycles.empty()) return false;
   try {
     const sim::ElabDesign design = sim::elaborate(golden, golden_file);
     Budget budget(opts.node_budget);
@@ -131,17 +129,6 @@ ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, con
   if (!iface.passed) {
     r.status = ProveStatus::kInequivalent;
     r.reason = iface.reason;
-    return r;
-  }
-
-  // Lint's AST-level comb-SCC detection as a cheap early reject: a cyclic
-  // design can oscillate or latch, neither of which the lowering models.
-  if (!lint::build_dataflow(golden, golden_file).comb_cycles.empty()) {
-    r.reason = "golden module has a combinational cycle";
-    return r;
-  }
-  if (!lint::build_dataflow(dut, dut_file).comb_cycles.empty()) {
-    r.reason = "candidate has a combinational cycle";
     return r;
   }
 

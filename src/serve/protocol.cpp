@@ -29,13 +29,9 @@ bool build_suite(const std::string& name, eval::Suite* out) {
 
 std::string result_line(const std::string& id_field, const eval::SuiteResult& result,
                         bool coalesced) {
-  // pass@k needs k <= n for every task; clamp k to the smallest sample count
-  // so low-n service jobs still get a defined value, and label the field
-  // with the k actually reported (pass2= for the default n=2 job, never a
-  // pass@2 value masquerading as pass5=).
-  int k = 5;
-  for (const eval::TaskResult& task : result.per_task) k = std::min(k, task.n);
-  k = std::max(k, 1);
+  // Labelled with the k actually reported (pass2= for the default n=2 job,
+  // never a pass@2 value masquerading as pass5=).
+  const int k = result.reported_k();
   return util::format(
       "RESULT %s done pass1=%.6f pass%d=%.6f candidates=%lld coalesced=%d verdict=%s",
       id_field.c_str(), result.pass_at(1), k, result.pass_at(k),

@@ -596,11 +596,18 @@ class Compiler {
 
   // --- levelization ----------------------------------------------------------
 
-  // Bit mask of a statically-shaped lvalue; nullopt for dynamic indices,
-  // undeclared bases, or unsupported shapes.
-  std::optional<WriteMap> lvalue_mask(const ExprPtr& lhs) const {
-    WriteMap m;
-    const auto add = [&](std::uint32_t sl, int hi, int lo) {
+  // Bits an lvalue writes: `must` on every execution, `may` on some. A
+  // bit-select part writes one bit chosen at run time, and none at all on an
+  // X or out-of-range index (kStoreBitDyn): a constant index writes exactly
+  // its bit, a dynamic one may write any bit of its signal and must write
+  // none. nullopt for undeclared bases and unsupported shapes.
+  struct LvalueMask {
+    WriteMap may, must;
+    std::set<std::uint32_t> bit_selected;  // signals with a bit-select part
+  };
+  std::optional<LvalueMask> lvalue_mask(const ExprPtr& lhs) const {
+    LvalueMask m;
+    const auto add = [&](WriteMap& into, std::uint32_t sl, int hi, int lo) {
       if (lo >= 64 || lo < 0 || hi < lo) return;
       const int w = hi - lo + 1;
       const std::uint64_t field =
@@ -608,20 +615,40 @@ class Compiler {
       const int sw = design_.signals[sl].width;
       const std::uint64_t sig_mask =
           sw >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << sw) - 1);
-      if (field & sig_mask) m[sl] |= field & sig_mask;
+      if (field & sig_mask) into[sl] |= field & sig_mask;
+    };
+    const auto both = [&](std::uint32_t sl, int hi, int lo) {
+      add(m.may, sl, hi, lo);
+      add(m.must, sl, hi, lo);
     };
     const auto one = [&](const ExprPtr& part) -> bool {
       const auto sl = slot(part->ident);
       if (!sl) return false;
-      if (part->kind == ExprKind::kIdent) {
-        add(*sl, design_.signals[*sl].width - 1, 0);
-        return true;
+      switch (part->kind) {
+        case ExprKind::kIdent:
+          both(*sl, design_.signals[*sl].width - 1, 0);
+          return true;
+        case ExprKind::kPartSelect:
+          both(*sl, std::max(part->msb, part->lsb), std::min(part->msb, part->lsb));
+          return true;
+        case ExprKind::kBitSelect: {
+          m.bit_selected.insert(*sl);
+          const ExprPtr& idx = part->operands[0];
+          if (idx->kind == ExprKind::kNumber && idx->number.width >= 1 &&
+              idx->number.width <= 64) {
+            const Value i = Value::with_xz(idx->number.value, idx->number.xz_mask,
+                                           idx->number.width);
+            if (i.is_fully_defined() && i.bits() < 64) {
+              both(*sl, static_cast<int>(i.bits()), static_cast<int>(i.bits()));
+            }
+            return true;
+          }
+          add(m.may, *sl, design_.signals[*sl].width - 1, 0);
+          return true;
+        }
+        default:
+          return false;
       }
-      if (part->kind == ExprKind::kPartSelect) {
-        add(*sl, std::max(part->msb, part->lsb), std::min(part->msb, part->lsb));
-        return true;
-      }
-      return false;  // dynamic bit select or unsupported shape
     };
     if (lhs->kind == ExprKind::kConcat) {
       for (const auto& part : lhs->operands) {
@@ -635,10 +662,11 @@ class Compiler {
 
   struct MaskInfo {
     WriteMap may, must;
-    bool ok = true;
-    static MaskInfo failed() {
+    std::set<std::uint32_t> bit_selected;  // signals written through a bit select
+    const char* failure = nullptr;         // why the body cannot levelize
+    static MaskInfo failed(const char* why) {
       MaskInfo m;
-      m.ok = false;
+      m.failure = why;
       return m;
     }
   };
@@ -664,29 +692,34 @@ class Compiler {
     switch (s->kind) {
       case StmtKind::kBlock:
         for (const auto& c : s->stmts) {
-          const MaskInfo ci = stmt_masks(c);
-          if (!ci.ok) return MaskInfo::failed();
+          MaskInfo ci = stmt_masks(c);
+          if (ci.failure) return ci;
           merge_union(info.may, ci.may);
           merge_union(info.must, ci.must);
+          info.bit_selected.merge(ci.bit_selected);
         }
         return info;
       case StmtKind::kBlockingAssign: {
-        const auto m = lvalue_mask(s->lhs);
-        if (!m) return MaskInfo::failed();
-        info.may = *m;
-        info.must = *m;
+        auto m = lvalue_mask(s->lhs);
+        if (!m) return MaskInfo::failed("unsupported assignment target");
+        info.may = std::move(m->may);
+        info.must = std::move(m->must);
+        info.bit_selected = std::move(m->bit_selected);
         return info;
       }
       case StmtKind::kNonblockingAssign:
         // NBAs queued during combinational settling commit whenever the next
         // edge fires — keep the event-driven schedule for those designs.
-        return MaskInfo::failed();
+        return MaskInfo::failed("nonblocking assignment in a combinational process");
       case StmtKind::kIf: {
-        const MaskInfo a = stmt_masks(s->then_branch);
-        const MaskInfo b = stmt_masks(s->else_branch);
-        if (!a.ok || !b.ok) return MaskInfo::failed();
+        MaskInfo a = stmt_masks(s->then_branch);
+        if (a.failure) return a;
+        MaskInfo b = stmt_masks(s->else_branch);
+        if (b.failure) return b;
         info.may = a.may;
         merge_union(info.may, b.may);
+        info.bit_selected = std::move(a.bit_selected);
+        info.bit_selected.merge(b.bit_selected);
         info.must = merge_intersect(a.must, b.must);
         return info;
       }
@@ -695,9 +728,10 @@ class Compiler {
         bool first = true;
         for (const auto& item : s->case_items) {
           if (item.labels.empty()) have_default = true;
-          const MaskInfo ci = stmt_masks(item.body);
-          if (!ci.ok) return MaskInfo::failed();
+          MaskInfo ci = stmt_masks(item.body);
+          if (ci.failure) return ci;
           merge_union(info.may, ci.may);
+          info.bit_selected.merge(ci.bit_selected);
           if (first) {
             info.must = ci.must;
             first = false;
@@ -713,9 +747,9 @@ class Compiler {
         // A loop executed with skewed intermediate inputs could trip the
         // iteration guard (converged := false) where the final-input
         // execution would not; keep those event-driven.
-        return MaskInfo::failed();
+        return MaskInfo::failed("for-loop in a combinational process");
     }
-    return MaskInfo::failed();
+    return MaskInfo::failed("corrupt statement node");
   }
 
   // No expression anywhere in the body may fault: an intermediate-input
@@ -729,7 +763,9 @@ class Compiler {
                            [&](const StmtPtr& c) { return body_throw_free(c); });
       case StmtKind::kBlockingAssign:
       case StmtKind::kNonblockingAssign:
-        return !can_throw(s->rhs);
+        // An lvalue faults where it would as an expression: an undeclared
+        // base, a faulting index, a field wider than 64 bits.
+        return !can_throw(s->rhs) && !can_throw(s->lhs);
       case StmtKind::kIf:
         return !can_throw(s->cond) && body_throw_free(s->then_branch) &&
                body_throw_free(s->else_branch);
@@ -800,9 +836,20 @@ class Compiler {
         return true;
       case StmtKind::kBlockingAssign: {
         if (!expr_reads_dominated(s->rhs, targets, written)) return false;
+        // The store reads its bit-select indices after the right-hand side.
+        const auto index_dominated = [&](const ExprPtr& part) {
+          return part->kind != ExprKind::kBitSelect ||
+                 expr_reads_dominated(part->operands[0], targets, written);
+        };
+        const bool concat = s->lhs->kind == ExprKind::kConcat;
+        if (concat ? !std::all_of(s->lhs->operands.begin(), s->lhs->operands.end(),
+                                  index_dominated)
+                   : !index_dominated(s->lhs)) {
+          return false;
+        }
         const auto m = lvalue_mask(s->lhs);
-        if (!m) return false;  // dynamic lvalues are rejected by stmt_masks
-        for (const auto& [sl, mask] : *m) written[sl] |= mask;
+        if (!m) return false;  // rejected by stmt_masks before this runs
+        for (const auto& [sl, mask] : m->must) written[sl] |= mask;
         return true;
       }
       case StmtKind::kIf: {
@@ -862,26 +909,43 @@ class Compiler {
       return;
     }
 
+    const auto fail = [this](const char* why) { prog_.levelize_failure = why; };
     const std::size_t n = comb.size();
     std::vector<WriteMap> writes(n);
     for (std::size_t k = 0; k < n; ++k) {
       const ElabProcess& p = design_.processes[comb[k]];
-      std::optional<WriteMap> wm;
+      WriteMap wm;
       if (p.kind == ProcessKind::kContAssign) {
-        if (can_throw(p.rhs)) return;
-        wm = lvalue_mask(p.lhs);
+        if (can_throw(p.rhs)) return fail("combinational process may fault");
+        auto m = lvalue_mask(p.lhs);
+        if (!m || !m->bit_selected.empty()) {
+          return fail("unsupported continuous-assignment target");
+        }
+        wm = std::move(m->must);
       } else {
-        const MaskInfo info = stmt_masks(p.body);
-        if (!info.ok || info.may != info.must || !body_throw_free(p.body)) return;
+        MaskInfo info = stmt_masks(p.body);
+        if (info.failure) return fail(info.failure);
+        if (info.may != info.must) {
+          return fail("signal latches: assigned on some but not all paths");
+        }
+        if (!body_throw_free(p.body)) return fail("combinational process may fault");
+        // A dynamic bit write follows a default write of its signal, so the
+        // body writes some bits twice per run. The interpreter re-triggers a
+        // body on its own writes, so one that also reads such a signal can
+        // oscillate there: keep it event-driven.
+        for (const std::uint32_t sl : info.bit_selected) {
+          if (p.read_set.contains(design_.signals[sl].name)) {
+            return fail("reads a signal it writes through a bit select");
+          }
+        }
         // The sensitivity list must cover every read, otherwise the
         // event-driven schedule deliberately *keeps* stale values that a
         // dependency-ordered schedule would refresh.
         for (const auto& name : statement_read_set(p.body)) {
-          if (!p.read_set.contains(name)) return;
+          if (!p.read_set.contains(name)) return fail("incomplete sensitivity list");
         }
-        wm = info.may;
+        wm = std::move(info.may);
       }
-      if (!wm) return;
       // Self reads are allowed only in write-before-read position: every read
       // of a signal the body writes must be preceded, on every path, by
       // must-writes covering all the bits the body ever writes to it. The
@@ -890,7 +954,7 @@ class Compiler {
       // that can see its previous iteration's value — a continuous assign
       // reading its lvalue, a latch, an oscillator — keeps the delta loop.
       bool self_read = false;
-      for (const auto& [sl, mask] : *wm) {
+      for (const auto& [sl, mask] : wm) {
         (void)mask;
         if (p.read_set.contains(design_.signals[sl].name)) {
           self_read = true;
@@ -898,11 +962,13 @@ class Compiler {
         }
       }
       if (self_read) {
-        if (p.kind != ProcessKind::kComb) return;
+        if (p.kind != ProcessKind::kComb) return fail("continuous assignment reads its own target");
         WriteMap written;
-        if (!stmt_reads_dominated(p.body, *wm, written)) return;
+        if (!stmt_reads_dominated(p.body, wm, written)) {
+          return fail("reads its own target before assigning it");
+        }
       }
-      writes[k] = std::move(*wm);
+      writes[k] = std::move(wm);
     }
 
     // Every driven bit needs exactly one combinational writer, or the
@@ -911,7 +977,7 @@ class Compiler {
     std::map<std::uint32_t, std::vector<std::uint32_t>> writers_of;
     for (std::size_t k = 0; k < n; ++k) {
       for (const auto& [sl, mask] : writes[k]) {
-        if (driven[sl] & mask) return;
+        if (driven[sl] & mask) return fail("signal has multiple combinational drivers");
         driven[sl] |= mask;
         writers_of[sl].push_back(static_cast<std::uint32_t>(k));
       }
@@ -952,25 +1018,15 @@ class Compiler {
         if (--indeg[k2] == 0) ready.insert(k2);
       }
     }
-    if (order.size() != n) return;  // combinational cycle
-    if (*std::max_element(depth.begin(), depth.end()) > kMaxCombDepth) return;
+    if (order.size() != n) return fail("combinational dependency cycle");
+    if (*std::max_element(depth.begin(), depth.end()) > kMaxCombDepth) {
+      return fail("combinational chain deeper than the levelizer's cap");
+    }
 
     prog_.levelized = true;
     prog_.comb_order = std::move(order);
     for (std::uint32_t rank = 0; rank < prog_.comb_order.size(); ++rank) {
       prog_.comb_rank[prog_.comb_order[rank]] = rank;
-    }
-
-    // A levelized process's self-reads are write-before-read (checked above),
-    // so its self-retrigger is provably a no-op; drop the self-watch entries
-    // to keep the rank sweep's invariant that a write only ever queues ranks
-    // strictly ahead of the process that performed it.
-    for (std::size_t k = 0; k < n; ++k) {
-      for (const auto& [sl, mask] : writes[k]) {
-        (void)mask;
-        auto& ws = prog_.comb_watchers[sl];
-        ws.erase(std::remove(ws.begin(), ws.end(), comb[k]), ws.end());
-      }
     }
   }
 

@@ -17,9 +17,11 @@
 // conditions are documented in DESIGN.md §10), the combinational graph is
 // topologically sorted and the active region executes each affected process
 // once in dependency order. Any violation — cycles, potential throws,
-// latch-shaped bodies, dynamic-index writes, multi-driven bits, NBAs or for
-// loops in comb processes, over-deep chains — falls back to the
-// interpreter-identical event-driven delta loop for the whole design.
+// latch-shaped bodies, bit-select continuous assigns, multi-driven bits,
+// NBAs or for loops in comb processes, over-deep chains — falls back to the
+// interpreter-identical event-driven delta loop for the whole design, and
+// Program::levelize_failure names the rule. haven::prove executes the same
+// levelized Program symbolically (prove/lower.h).
 #pragma once
 
 #include "sim/elaborate.h"

@@ -34,7 +34,15 @@ CompiledSimulator::CompiledSimulator(Program program, std::uint64_t step_budget)
   init();
 }
 
-void CompiledSimulator::init() {
+CompiledSimulator::CompiledSimulator(Program program, Unsettled) : program_(std::move(program)) {
+  power_up();
+}
+
+CompiledSimulator CompiledSimulator::unsettled(Program program) {
+  return CompiledSimulator(std::move(program), Unsettled{});
+}
+
+void CompiledSimulator::power_up() {
   const std::size_t nsig = program_.signals.size();
   regs_.assign(program_.num_regs, Value(1));
   for (std::size_t i = 0; i < nsig; ++i) regs_[i] = Value::all_x(program_.signals[i].width);
@@ -44,8 +52,12 @@ void CompiledSimulator::init() {
   pending_.assign(std::max<std::size_t>(proc_words, 1), 0);
   fired_.assign(std::max<std::size_t>(proc_words, 1), 0);
   loop_counters_.assign(program_.num_loops, 0);
-
   run_initial_blocks();
+}
+
+void CompiledSimulator::init() {
+  power_up();
+  const std::size_t nsig = program_.signals.size();
 
   // Settle everything once from the initial state (all signals dirty), with
   // edge bookkeeping primed to the post-initial values — the interpreter's
@@ -230,8 +242,10 @@ void CompiledSimulator::settle_levelized() {
   std::fill(pending_.begin(), pending_.end(), 0);
   // Watchers of a written signal always have a strictly greater rank than its
   // writer, so draining dirty signals into the pending-rank mask only ever
-  // sets bits ahead of the sweep cursor.
-  const auto drain = [this] {
+  // sets bits ahead of the sweep cursor. The one exception is the writer
+  // itself when it reads its own targets: those reads are write-before-read,
+  // so re-running it would change nothing, and `running` is skipped.
+  const auto drain = [this](std::uint32_t running) {
     if (!any_dirty_) return;
     for (std::size_t w = 0; w < dirty_.size(); ++w) {
       std::uint64_t word = dirty_[w];
@@ -240,21 +254,21 @@ void CompiledSimulator::settle_levelized() {
         word &= word - 1;
         for (std::uint32_t pi : program_.comb_watchers[w * 64 + b]) {
           const std::uint32_t rank = program_.comb_rank[pi];
-          pending_[rank >> 6] |= std::uint64_t{1} << (rank & 63);
+          if (rank != running) pending_[rank >> 6] |= std::uint64_t{1} << (rank & 63);
         }
       }
     }
     std::fill(dirty_.begin(), dirty_.end(), 0);
     any_dirty_ = false;
   };
-  drain();
+  drain(UINT32_MAX);
   const std::size_t rank_words = (program_.comb_order.size() + 63) / 64;
   for (std::size_t w = 0; w < rank_words; ++w) {
     while (std::uint64_t word = pending_[w]) {
-      const int b = ctz64(word);
-      pending_[w] &= ~(std::uint64_t{1} << b);
-      run_process(program_.processes[program_.comb_order[w * 64 + b]]);
-      drain();
+      const auto rank = static_cast<std::uint32_t>(w * 64 + ctz64(word));
+      pending_[w] &= ~(std::uint64_t{1} << (rank & 63));
+      run_process(program_.processes[program_.comb_order[rank]]);
+      drain(rank);
     }
   }
 }

@@ -137,7 +137,9 @@ struct Program {
   // Levelized combinational schedule (empty <=> event-driven fallback):
   // comb_order lists comb/cont processes in topological order; comb_rank
   // maps process id -> rank in that order (UINT32_MAX for non-comb).
+  // levelize_failure names the rule that kept a design event-driven.
   bool levelized = false;
+  const char* levelize_failure = nullptr;  // static text; null when levelized
   std::vector<std::uint32_t> comb_order;
   std::vector<std::uint32_t> comb_rank;
 
@@ -153,6 +155,12 @@ class CompiledSimulator {
   // covers initial blocks + the first settle inside this constructor.
   explicit CompiledSimulator(const ElabDesign& design, std::uint64_t step_budget = 0);
   explicit CompiledSimulator(Program program, std::uint64_t step_budget = 0);
+
+  // Power-up X, then the initial blocks and their NBA commit, with nothing
+  // settled: the state the constructors above settle from. It passes no
+  // fault-injection site. converged() is false when an initial block tripped
+  // a loop guard.
+  static CompiledSimulator unsettled(Program program);
 
   void set_step_budget(std::uint64_t max_steps) { step_budget_ = max_steps; }
   std::uint64_t steps() const { return steps_; }
@@ -174,6 +182,9 @@ class CompiledSimulator {
   void clock_cycle(const std::string& clk = "clk");
 
  private:
+  struct Unsettled {};
+  CompiledSimulator(Program program, Unsettled);
+  void power_up();
   void init();
   void bump_steps();
   void run_initial_blocks();

@@ -81,6 +81,22 @@ struct Harness {
   std::vector<PortPair> outputs;
 };
 
+// Both sides raise ElabError, but only a golden-side one means a broken
+// task; a DUT-side one fails the DUT. Each DUT call that can raise one runs
+// through dut_side(), which retags it with the DUT's verdict reason.
+struct DutFault {
+  std::string reason;
+};
+
+template <typename Fn>
+auto dut_side(const char* what, Fn&& fn) {
+  try {
+    return fn();
+  } catch (const ElabError& e) {
+    throw DutFault{std::string(what) + e.what()};
+  }
+}
+
 }  // namespace
 
 DiffResult check_interface(const Module& dut, const Module& golden) {
@@ -139,16 +155,14 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
   DiffResult result;
   try {
     ElabDesign golden_design = elaborate(golden_mod, golden_file);
-    ElabDesign dut_design;
-    try {
-      dut_design = elaborate(dut_mod, dut_file);
-    } catch (const ElabError& e) {
-      result.reason = std::string("dut elaboration failed: ") + e.what();
-      return result;
-    }
+    ElabDesign dut_design =
+        dut_side("dut elaboration failed: ", [&] { return elaborate(dut_mod, dut_file); });
 
-    Harness h{AnySim(std::move(golden_design), spec.backend, spec.step_budget),
-              AnySim(std::move(dut_design), spec.backend, spec.step_budget), {}, {}};
+    AnySim golden(std::move(golden_design), spec.backend, spec.step_budget);
+    AnySim dut = dut_side("dut elaboration failed: ", [&] {
+      return AnySim(std::move(dut_design), spec.backend, spec.step_budget);
+    });
+    Harness h{std::move(golden), std::move(dut), {}, {}};
     auto resolve_pair = [&](const std::string& name, int width) {
       return PortPair{name, width, h.golden.resolve(name), h.dut.resolve(name)};
     };
@@ -167,7 +181,7 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
 
     auto drive_both = [&](const PortPair& p, std::uint64_t v) {
       h.golden.poke(p.golden, v);
-      h.dut.poke(p.dut, v);
+      dut_side("dut simulation failed: ", [&] { h.dut.poke(p.dut, v); });
     };
     // Strict comparison: DUT must match every golden-defined bit.
     auto compare_outputs = [&](const char* when) -> bool {
@@ -296,6 +310,9 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
       if (!compare_outputs(util::format("cycle %d", cycle).c_str())) return result;
     }
     result.passed = true;
+    return result;
+  } catch (const DutFault& f) {
+    result.reason = f.reason;
     return result;
   } catch (const ElabError& e) {
     // Golden-side elaboration errors indicate a broken task definition.

@@ -1,10 +1,9 @@
 #include "util/strings.h"
 
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 namespace haven::util {
 
@@ -141,35 +140,27 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
-bool parse_i64(const std::string& s, long long* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
+namespace {
+
+// std::from_chars over the whole string: no whitespace, no '+', no sign at
+// all for unsigned types, nothing left over, nothing out of range.
+template <typename T>
+bool parse_whole(const std::string& s, T* out) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return false;
   *out = v;
   return true;
 }
 
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
+}  // namespace
 
-bool parse_f64(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
+bool parse_i64(const std::string& s, long long* out) { return parse_whole(s, out); }
+
+bool parse_u64(const std::string& s, std::uint64_t* out) { return parse_whole(s, out); }
+
+bool parse_f64(const std::string& s, double* out) { return parse_whole(s, out); }
 
 std::string indent(std::string_view s, int n) {
   const std::string pad(static_cast<std::size_t>(n > 0 ? n : 0), ' ');

@@ -43,11 +43,12 @@ bool is_identifier(std::string_view s);
 // the paper's "no more than ten words added or removed" constraint.
 std::size_t word_count(std::string_view s);
 
-// Strict base-10 number parsing for command-line flags and protocol knobs:
-// the whole of `s` must be consumed with errno clean, so "abc", "0x10",
-// "5%" (and "1e6" for the integer forms) fail instead of reading as zero or
-// as a prefix. On failure *out is left unchanged. parse_u64 also rejects a
-// leading '-', which strtoull would silently wrap.
+// Strict base-10 number parsing for command-line flags and protocol knobs,
+// on std::from_chars: the whole of `s` must be the number, with no
+// whitespace, no '+' and no out-of-range value, so "abc", "0x10", "5%",
+// " 5" (and "1e6" for the integer forms) fail instead of reading as zero or
+// as a prefix. parse_u64 takes no sign at all, so " -1" never wraps to
+// 2^64 - 1. On failure *out is left unchanged.
 bool parse_i64(const std::string& s, long long* out);
 bool parse_u64(const std::string& s, std::uint64_t* out);
 bool parse_f64(const std::string& s, double* out);

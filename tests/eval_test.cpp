@@ -174,7 +174,7 @@ TEST(RequestOptionsDeathTest, MalformedNumbersExitTwo) {
                            "--seed=0x10", "--temps=0.2,x", "--cache-mb=1e3", "--inject=5%",
                            "--inject=5", "--threads=four", "--deadline-ms=1.5",
                            "--sim-budget=-1", "--repair-rounds=2x", "--retries=-2",
-                           "--deadline-ms=-5"}) {
+                           "--deadline-ms=-5", "--cache-mb= -1", "--seed= 5"}) {
     const std::string arg = flag;
     EXPECT_EXIT(parse_flags({arg}), ::testing::ExitedWithCode(2),
                 arg.substr(0, arg.find('=')) + " wants")

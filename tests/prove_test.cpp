@@ -5,12 +5,16 @@
 // lives in eval_prove_diff_test.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "eval/suites.h"
 #include "prove/aig.h"
 #include "prove/bdd.h"
+#include "prove/lower.h"
 #include "prove/prove.h"
+#include "sim/program.h"
 #include "sim/testbench.h"
 #include "util/rng.h"
 #include "verilog/parser.h"
@@ -269,6 +273,195 @@ TEST(Prove, GoldenXBitsAreUnconstrained) {
   const ProveResult r = prove_sources(dut, golden, sim::StimulusSpec{});
   EXPECT_EQ(r.status, ProveStatus::kEquivalent) << r.reason;
   expect_matches_simulation(dut, golden, sim::StimulusSpec{}, r.status);
+}
+
+// --- the executor, one opcode at a time --------------------------------------
+
+// A W-bit binary literal with random 0/1/x/z digits (about a third of the
+// samples carry unknown bits); half the samples are small values, so shift
+// counts, indices and exponents land in range.
+std::string random_literal(util::Rng& rng, int w) {
+  const std::uint64_t mask = w >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << w) - 1;
+  std::uint64_t bits = rng.next() & mask;
+  if (rng.next() & 1) bits = rng.next() % static_cast<std::uint64_t>(w + 3) & mask;
+  const std::uint64_t xz = rng.next() % 3 == 0 ? rng.next() & rng.next() & mask : 0;
+  std::string digits;
+  for (int i = w - 1; i >= 0; --i) {
+    if ((xz >> i) & 1) digits += (rng.next() & 1) ? 'x' : 'z';
+    else digits += ((bits >> i) & 1) ? '1' : '0';
+  }
+  return std::to_string(w) + "'b" + digits;
+}
+
+// Lowers `src` with no swept inputs, so every word must be a constant, and
+// requires each signal to equal the compiled simulator's settled value.
+void expect_lowering_matches_simulator(const std::string& src) {
+  verilog::ParseOutput parsed = verilog::parse_source(src);
+  ASSERT_TRUE(parsed.ok()) << src;
+  const sim::ElabDesign design = sim::elaborate(parsed.file.modules.front(), &parsed.file);
+  Budget budget(0);
+  Aig aig(&budget);
+  std::vector<Word> words;
+  try {
+    words = lower_design(&aig, design, {});
+  } catch (const UnsupportedError& e) {
+    FAIL() << e.reason << "\n" << src;
+  }
+  const sim::CompiledSimulator simulator(design);
+  ASSERT_TRUE(simulator.converged()) << src;
+  ASSERT_EQ(words.size(), design.signals.size());
+  for (std::size_t s = 0; s < words.size(); ++s) {
+    const sim::Value want = simulator.peek(design.signals[s].name);
+    ASSERT_EQ(words[s].width(), want.width()) << design.signals[s].name << "\n" << src;
+    std::uint64_t bits = 0, xz = 0;
+    for (int i = 0; i < want.width(); ++i) {
+      const Bit& b = words[s].bits[static_cast<std::size_t>(i)];
+      ASSERT_TRUE(aig.is_const(b.v) && aig.is_const(b.x)) << src;
+      bits |= std::uint64_t{b.v == kTrue} << i;
+      xz |= std::uint64_t{b.x == kTrue} << i;
+    }
+    EXPECT_TRUE(sim::Value::with_xz(bits, xz, want.width()).identical(want))
+        << design.signals[s].name << ": lowered " << bits << "/" << xz << " simulated "
+        << want.to_string() << "\n" << src;
+  }
+}
+
+// Every opcode the executor handles, on constant operands with X/Z bits at
+// widths 1-64: initial blocks set the operands (so the comb body is
+// triggered), and the body applies one operator or statement shape.
+TEST(ProveLower, EveryOpMatchesTheCompiledSimulator) {
+  const std::vector<std::string> exprs = {
+      "a & b", "a | b", "a ^ b", "a + b", "a - b", "a * b", "a / b", "a % b", "a ** b",
+      "a << b", "a >> b", "a == b", "a != b", "a === b", "a !== b", "a < b", "a <= b",
+      "a > b", "a >= b", "a && b", "a || b", "~a", "-a", "!a", "&a", "|a", "^a", "~&a",
+      "~|a", "~^a", "c ? a : b", "a[b]", "a ~^ b"};
+  const std::vector<std::string> bodies = {
+      "begin y = 64'd0; y[b] = c; end",
+      "begin y = {64{c}}; y[3] = a[0]; y[70] = c; end",
+      "{y[40:33], y[32:0]} = a - b;",
+      "if (c) y = a; else y = b;",
+      "case (a) LA: y = 64'd1; LB, LC: y = 64'd2; default: y = 64'd3; endcase",
+      "casez (a) LA: y = 64'd1; LB: y = 64'd2; default: y = 64'd3; endcase",
+      "casex (a) LA: y = 64'd1; LB: y = 64'd2; default: y = a ^ b; endcase"};
+  util::Rng rng(0x0b5e55);
+  for (int w = 1; w <= 64; ++w) {
+    for (int sample = 0; sample < 2; ++sample) {
+      const std::string head = "module m(output reg [63:0] y);\n  reg [" + std::to_string(w - 1) +
+                               ":0] a, b;\n  reg c;\n  initial begin a = " +
+                               random_literal(rng, w) + "; b = " + random_literal(rng, w) +
+                               "; c = " + random_literal(rng, 1) + "; end\n";
+      std::vector<std::string> cases;
+      for (const std::string& e : exprs) cases.push_back("always @* y = " + e + ";");
+      if (w < 64) cases.push_back("always @* y = {c, a};");
+      if (2 * w <= 64) cases.push_back("always @* y = {a, b} ^ {2{b}};");
+      const int lo = static_cast<int>(rng.next() % static_cast<std::uint64_t>(w + 2));
+      const int hi = lo + static_cast<int>(rng.next() % 8);
+      cases.push_back("always @* y = a[" + std::to_string(hi) + ":" + std::to_string(lo) + "];");
+      for (std::string body : bodies) {
+        for (const char* label : {"LA", "LB", "LC"}) {
+          const std::size_t at = body.find(label);
+          if (at != std::string::npos) body.replace(at, 2, random_literal(rng, w));
+        }
+        cases.push_back("always @* " + body);
+      }
+      for (const std::string& c : cases)
+        expect_lowering_matches_simulator(head + "  " + c + "\nendmodule\n");
+    }
+  }
+}
+
+// A comb body whose only reads are its own write-before-read targets runs
+// on every backend at construction, and the prover agrees with both.
+TEST(Prove, SelfOnlyReaderAgreesWithSimulation) {
+  const std::string dut =
+      "module top_module(input a, output reg y);\n"
+      "  reg t;\n"
+      "  always @* begin t = 1'b1; y = t; end\n"
+      "endmodule\n";
+  const std::string golden = "module top_module(input a, output y); assign y = a | 1'b1; endmodule\n";
+  sim::StimulusSpec spec;
+  EXPECT_EQ(prove_sources(dut, golden, spec).status, ProveStatus::kEquivalent);
+  for (const sim::SimBackend backend : {sim::SimBackend::kCompiled, sim::SimBackend::kInterpreter}) {
+    spec.backend = backend;
+    util::Rng rng(11);
+    const sim::DiffResult diff = sim::run_diff_test(dut, golden, spec, rng);
+    EXPECT_TRUE(diff.passed) << diff.reason;
+  }
+}
+
+// Blocking bit-select writes after a full default are decided, and agree
+// with the testbench on the equivalent form and on a mutant.
+TEST(Prove, DynamicBitSelectWritesDecided) {
+  const std::string golden =
+      "module top(input [1:0] sel, input d, output [3:0] y);\n"
+      "  assign y = {3'b0, d} << sel;\n"
+      "endmodule\n";
+  const std::string dut =
+      "module top(input [1:0] sel, input d, output reg [3:0] y);\n"
+      "  always @* begin y = 4'b0; y[sel] = d; y[3'd5] = 1'b1; end\n"
+      "endmodule\n";
+  const std::string mutant =
+      "module top(input [1:0] sel, input d, output reg [3:0] y);\n"
+      "  always @* begin y = 4'b0; y[sel] = ~d; end\n"
+      "endmodule\n";
+  const ProveResult eq = prove_sources(dut, golden, sim::StimulusSpec{});
+  EXPECT_EQ(eq.status, ProveStatus::kEquivalent) << eq.reason;
+  expect_matches_simulation(dut, golden, sim::StimulusSpec{}, eq.status);
+  const ProveResult ne = prove_sources(mutant, golden, sim::StimulusSpec{});
+  EXPECT_EQ(ne.status, ProveStatus::kInequivalent) << ne.reason;
+  expect_matches_simulation(mutant, golden, sim::StimulusSpec{}, ne.status);
+}
+
+// Two processes driving disjoint bits of one signal run on the levelized
+// schedule the simulator uses, so the prover now decides them.
+TEST(Prove, DisjointBitWritersDecided) {
+  const std::string golden =
+      "module top(input a, input b, output [3:0] y); assign y = {b, a, a, b}; endmodule\n";
+  const std::string dut =
+      "module top(input a, input b, output reg [3:0] y);\n"
+      "  always @* y[1:0] = {a, b};\n"
+      "  always @* y[3:2] = {b, a};\n"
+      "endmodule\n";
+  const ProveResult r = prove_sources(dut, golden, sim::StimulusSpec{});
+  EXPECT_EQ(r.status, ProveStatus::kEquivalent) << r.reason;
+  expect_matches_simulation(dut, golden, sim::StimulusSpec{}, r.status);
+}
+
+// Shapes the levelizer keeps event-driven fall back to simulation, with the
+// failed rule as the reason; the testbench still decides them.
+TEST(Prove, UnlevelizedShapesFallBackToSimulation) {
+  std::string chain = "module top(input a, output y);\n  wire t0;\n  assign t0 = a;\n";
+  for (int i = 1; i <= 70; ++i) {
+    const std::string t = "t" + std::to_string(i);
+    chain += "  wire " + t + ";\n  assign " + t + " = ~t" + std::to_string(i - 1) + ";\n";
+  }
+  chain += "  assign y = t70;\nendmodule\n";
+  const struct {
+    std::string dut, golden, reason;
+    bool passes;
+  } cases[] = {
+      {"module top(input [3:0] a, output reg [3:0] y);\n  integer i;\n"
+       "  always @* for (i = 0; i < 4; i = i + 1) y[i] = a[3 - i];\nendmodule\n",
+       "module top(input [3:0] a, output [3:0] y); assign y = {a[0], a[1], a[2], a[3]}; "
+       "endmodule\n",
+       "for-loop in a combinational process", false},  // i re-triggers the body
+      {chain, "module top(input a, output y); assign y = a; endmodule\n",
+       "combinational chain deeper", true},
+      {"module top(input a, output y); assign y = 1'b1 ? a : ghost; endmodule\n",
+       "module top(input a, output y); assign y = a; endmodule\n",
+       "combinational process may fault", true},
+      {"module top(input a, output [1:0] y); assign y[0] = a; assign y[1] = ~a; endmodule\n",
+       "module top(input a, output [1:0] y); assign y = {~a, a}; endmodule\n",
+       "unsupported continuous-assignment target", true},
+  };
+  for (const auto& c : cases) {
+    const ProveResult r = prove_sources(c.dut, c.golden, sim::StimulusSpec{});
+    EXPECT_EQ(r.status, ProveStatus::kUnsupported) << c.dut;
+    EXPECT_NE(r.reason.find(c.reason), std::string::npos) << r.reason;
+    util::Rng rng(12);
+    const sim::DiffResult diff = sim::run_diff_test(c.dut, c.golden, sim::StimulusSpec{}, rng);
+    EXPECT_EQ(diff.passed, c.passes) << diff.reason << "\n" << c.dut;
+  }
 }
 
 // --- golden self-proof calibration ------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/testbench.h"
 
 namespace haven::sim {
@@ -306,6 +309,34 @@ endmodule
   EXPECT_TRUE(r1.passed) << r1.reason;
   DiffResult r2 = run_diff_test(swapped, golden, spec, rng);
   EXPECT_FALSE(r2.passed);
+}
+
+// A DUT-side ElabError — at construction or while the stimulus runs — fails
+// the DUT with a "dut ..." reason on both backends; only a golden-side one
+// is a broken task.
+TEST(Testbench, DutSideElabErrorsFailTheDut) {
+  const std::string golden =
+      "module m(input clk, input d, output reg q); always @(posedge clk) q <= d; endmodule";
+  const std::string unknown_edge =
+      "module m(input clk, input d, output reg q); always @(posedge clock) q <= d; endmodule";
+  const std::string undeclared_read =
+      "module m(input clk, input d, output reg q); always @(posedge clk) q <= e; endmodule";
+  StimulusSpec spec;
+  spec.sequential = true;
+  for (const SimBackend backend : {SimBackend::kCompiled, SimBackend::kInterpreter}) {
+    spec.backend = backend;
+    util::Rng rng(18);
+    const DiffResult edge = run_diff_test(unknown_edge, golden, spec, rng);
+    EXPECT_FALSE(edge.passed);
+    EXPECT_EQ(edge.reason, "dut elaboration failed: edge on unknown signal 'clock'");
+    const DiffResult read = run_diff_test(undeclared_read, golden, spec, rng);
+    EXPECT_FALSE(read.passed);
+    EXPECT_EQ(read.reason,
+              "dut simulation failed: evaluation of undeclared identifier 'e'");
+  }
+  // The same faults on the golden side still throw.
+  util::Rng rng(19);
+  EXPECT_THROW(run_diff_test(golden, unknown_edge, spec, rng), std::logic_error);
 }
 
 }  // namespace

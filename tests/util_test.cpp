@@ -161,6 +161,32 @@ TEST(Strings, ReplaceAll) {
   EXPECT_EQ(replace_all("aaa", "aa", "b"), "ba");
 }
 
+TEST(Strings, NumberParsingIsStrict) {
+  std::uint64_t u = 7;
+  long long i = 7;
+  double f = 7.0;
+  // Whitespace, a sign on an unsigned value, and trailing text all fail and
+  // leave the output untouched.
+  for (const char* bad : {"", " 5", "5 ", "-1", " -1", "+5", "0x10", "5%", "1e3"}) {
+    EXPECT_FALSE(parse_u64(bad, &u)) << bad;
+  }
+  for (const char* bad : {"", " 5", "5 ", "+5", "1.5", "9223372036854775808"}) {
+    EXPECT_FALSE(parse_i64(bad, &i)) << bad;
+  }
+  for (const char* bad : {"", " 0.5", "0.5 ", "+0.5", "5%"}) {
+    EXPECT_FALSE(parse_f64(bad, &f)) << bad;
+  }
+  EXPECT_EQ(u, 7u);
+  EXPECT_EQ(i, 7);
+  EXPECT_EQ(f, 7.0);
+  EXPECT_TRUE(parse_u64("18446744073709551615", &u));
+  EXPECT_EQ(u, ~std::uint64_t{0});
+  EXPECT_TRUE(parse_i64("-3", &i));
+  EXPECT_EQ(i, -3);
+  EXPECT_TRUE(parse_f64("0.25", &f));
+  EXPECT_EQ(f, 0.25);
+}
+
 TEST(Strings, IsIdentifier) {
   EXPECT_TRUE(is_identifier("_foo$1"));
   EXPECT_TRUE(is_identifier("a"));
