@@ -21,7 +21,7 @@
 #include "lint/lint.h"
 #include "logic/truth_table.h"
 #include "prove/prove.h"
-#include "sim/elaborate.h"
+#include "sim/compile.h"
 #include "sim/testbench.h"
 #include "util/fault.h"
 #include "util/strings.h"
@@ -179,7 +179,9 @@ double seconds_since(Clock::time_point start) {
 // it are built by the first unit whose candidate compiles (build_golden), so
 // the dispatching thread does no serial golden work, and a task whose
 // candidates never need the golden (all cache hits, or none compiles) never
-// parses it. The task's last unit to finish frees them again (unit_done).
+// parses it. They are read-only from then on: every unit's lint, proofs and
+// simulators share them. The task's last unit to finish frees them again
+// (unit_done).
 struct TaskContext {
   const EvalTask* task = nullptr;
   std::uint64_t rng_base = 0;  // per-task RNG base (DESIGN.md §5 "Work-unit layout")
@@ -191,6 +193,7 @@ struct TaskContext {
   std::once_flag golden_once;
   verilog::ParseOutput golden;     // the golden module, parsed once per task
   bool golden_ok = false;          // it parsed, with at least one module
+  sim::CompiledModule compiled;    // its elaboration and Program (golden_ok only)
   lint::ReferenceProfile profile;  // lint on and golden_ok only
   bool provable = false;           // prove on and the task is prove-eligible
 
@@ -200,15 +203,18 @@ struct TaskContext {
   // dispatching thread after the fan-out, on the critical path of each job.
   void unit_done() {
     if (units_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      compiled = sim::CompiledModule{};
       golden = verilog::ParseOutput{};
       profile = lint::ReferenceProfile{};
     }
   }
 };
 
-// Parse the golden once and derive from it what lint and prove need. A
-// golden that does not parse leaves golden_ok false: lint then runs
-// reference-free, prove stays off, and simulation faults the unit.
+// Parse and build the golden once and derive from it what lint and prove
+// need. A golden that does not parse leaves golden_ok false: lint then runs
+// reference-free, prove stays off, and simulation faults the unit. One that
+// parses but fails to build records the error, which each simulation of the
+// task raises as its fault.
 void build_golden(TaskContext& ctx, const EvalRequest& request) {
   const EvalTask& task = *ctx.task;
   ctx.golden = verilog::parse_source(task.golden_source);
@@ -216,6 +222,7 @@ void build_golden(TaskContext& ctx, const EvalRequest& request) {
   if (!ctx.golden_ok) return;
   const verilog::Module& gm = ctx.golden.file.modules.front();
   const verilog::SourceFile* file = &ctx.golden.file;
+  ctx.compiled = sim::compile_module(gm, file);
 
   if (request.lint || request.lint_triage) {
     lint::ReferenceProfile& profile = ctx.profile;
@@ -225,11 +232,7 @@ void build_golden(TaskContext& ctx, const EvalRequest& request) {
     profile.reset = task.stimulus.reset;
     // Triage is sound only where the testbench itself sweeps every vector.
     profile.exhaustive_comb = sim::exhaustive_sweep_bits(gm, task.stimulus).has_value();
-    try {
-      (void)sim::elaborate(gm, file);
-    } catch (const sim::ElabError&) {
-      profile.golden_elab_ok = false;
-    }
+    profile.golden_elab_ok = ctx.compiled.failed != sim::CompiledModule::Stage::kElaborate;
     // Golden truth rows for the constant-output proof: only combinational
     // expression tasks carry an exact semantic function.
     if (task.spec.kind == llm::TaskKind::kCombExpr && task.spec.expr != nullptr &&
@@ -250,12 +253,12 @@ void build_golden(TaskContext& ctx, const EvalRequest& request) {
   }
 
   // Prove eligibility is structural: combinational spec, sweep fits, golden
-  // lowers, and no step budget in force (a budget-blown sim must still
-  // surface as a unit fault). The dry run is unbudgeted so that a small
+  // builds and lowers, and no step budget in force (a budget-blown sim must
+  // still surface as a unit fault). The dry run is unbudgeted so that a small
   // request budget exhausts per candidate, counted under prove_fallback,
   // instead of silently disabling the task.
   ctx.provable = request.prove && ctx.stimulus.step_budget == 0 &&
-                 prove::golden_provable(gm, file, ctx.stimulus, prove::ProveOptions{0});
+                 prove::golden_provable(ctx.compiled, ctx.stimulus, prove::ProveOptions{0});
 }
 
 // One pass of the candidate pipeline: round 0, a repair round, or a cache
@@ -303,7 +306,6 @@ void check_candidate(const EvalRequest& request, TaskContext& ctx, std::string_v
 
   std::call_once(ctx.golden_once, build_golden, std::ref(ctx), std::cref(request));
   const verilog::Module& cand = analysis.file.modules.front();
-  const verilog::SourceFile& golden = ctx.golden.file;
 
   // Lint draws nothing from the unit RNG (determinism contract).
   if (lint_on) {
@@ -322,16 +324,39 @@ void check_candidate(const EvalRequest& request, TaskContext& ctx, std::string_v
     }
   }
 
+  // Proofs and simulation both need the golden (provable implies golden_ok).
+  if (!ctx.golden_ok) throw std::invalid_argument("golden source does not parse");
+
+  // The prover and the testbench both fail a port mismatch before reading
+  // either design, so such a candidate is not built: its verdict is recorded
+  // as the stage that would have run.
+  Clock::time_point stage_start = Clock::now();
+  const sim::DiffResult iface = sim::check_interface(cand, *ctx.compiled.module);
+  if (!iface.passed) {
+    v.fail_reason = iface.reason;
+    if (ctx.provable) {
+      v.proved = true;
+      pass.prove_seconds = seconds_since(stage_start);
+      deadline.check("prove");
+    } else {
+      v.simulated = true;
+      pass.sim_seconds = seconds_since(stage_start);
+    }
+    return;
+  }
+
+  // The candidate's one build, read by the prover and the testbench alike and
+  // billed to the first of them that runs.
+  const sim::CompiledModule dut = sim::compile_module(cand, &analysis.file);
+
   // Formal equivalence fast-path (DESIGN.md §12), after lint triage — a
   // candidate with a proven lint failure counts once, under lint_triaged —
   // and before simulation. A proven verdict is bit-identical to the diff
   // testbench's by construction; anything else falls through to it.
   if (ctx.provable) {
-    const Clock::time_point prove_start = Clock::now();
-    const prove::ProveResult proof =
-        prove::prove_equivalence(cand, &analysis.file, golden.modules.front(), &golden,
-                                 ctx.stimulus, prove::ProveOptions{request.prove_budget});
-    pass.prove_seconds = seconds_since(prove_start);
+    const prove::ProveResult proof = prove::prove_equivalence(
+        dut, ctx.compiled, ctx.stimulus, prove::ProveOptions{request.prove_budget});
+    pass.prove_seconds = seconds_since(stage_start);
     deadline.check("prove");
     if (proof.status == prove::ProveStatus::kEquivalent ||
         proof.status == prove::ProveStatus::kInequivalent) {
@@ -342,13 +367,12 @@ void check_candidate(const EvalRequest& request, TaskContext& ctx, std::string_v
     }
     // kUnsupported / kBudgetExceeded: defer to the testbench.
     v.prove_fallback = true;
+    stage_start = Clock::now();
   }
 
-  if (!ctx.golden_ok) throw std::invalid_argument("golden source does not parse");
-  const Clock::time_point sim_start = Clock::now();
-  const sim::DiffResult diff = sim::run_diff_test(cand, &analysis.file, golden.modules.front(),
-                                                  &golden, ctx.stimulus, tb_rng, &deadline);
-  pass.sim_seconds = seconds_since(sim_start);
+  const sim::DiffResult diff =
+      sim::run_diff_test(dut, ctx.compiled, ctx.stimulus, tb_rng, &deadline);
+  pass.sim_seconds = seconds_since(stage_start);
   v.func_ok = diff.passed;
   v.simulated = true;
   v.sim_vectors = diff.vectors;

@@ -137,13 +137,15 @@ struct EvalCounters {
   std::int64_t cache_evictions = 0;  // LRU evictions during this run
   std::int64_t cache_bytes = 0;      // resident payload bytes after the run
   // Stage times. Each candidate is parsed once, under compile; the other
-  // stages include no parsing. A task's one golden parse is billed to no
+  // stages include no parsing. Its one elaboration and compile
+  // (sim::compile_module) is billed to prove on a prove-eligible task and to
+  // sim otherwise. A task's one golden parse and build are billed to no
   // stage.
   double generate_seconds = 0.0;  // SI-CoT refine + candidate generation
   double compile_seconds = 0.0;   // parse + semantic analysis of each candidate
   double lint_seconds = 0.0;      // lint rules on the parsed candidate (0 when lint is off)
-  double prove_seconds = 0.0;     // equivalence proofs (0 when prove is off)
-  double sim_seconds = 0.0;       // elaborate, compile and run the diff testbench
+  double prove_seconds = 0.0;     // candidate build + equivalence proof (0 when prove is off)
+  double sim_seconds = 0.0;       // diff testbench (+ candidate build when not proved first)
   double wall_seconds = 0.0;      // whole-run wall clock
   double cpu_seconds = 0.0;       // whole-run process CPU time
   int threads_used = 1;
@@ -305,9 +307,9 @@ class EvalRequest {
   // a candidate with a proven lint failure is triaged first and never reaches
   // the prover (it counts once, under lint_triaged).
   bool prove = false;
-  // Hard node budget shared by one proof attempt's AIG, BDD, and fallback
-  // sweep (= prove::kDefaultNodeBudget; 0 = unbounded). Exhausting it defers
-  // the candidate to simulation, counted under prove_fallback.
+  // Hard node budget shared by one proof attempt's AIG and BDD
+  // (= prove::kDefaultNodeBudget; 0 = unbounded). Exhausting it defers the
+  // candidate to simulation, counted under prove_fallback.
   std::uint64_t prove_budget = std::uint64_t{1} << 20;
 
   // --- closed-loop self-repair ---------------------------------------------

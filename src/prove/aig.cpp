@@ -22,12 +22,11 @@ Lit Aig::land(Lit a, Lit b) {
   if (a == lit_not(b)) return kFalse;
   if (a > b) std::swap(a, b);
   const std::uint64_t key = (std::uint64_t{a} << 32) | b;
-  const auto it = strash_.find(key);
-  if (it != strash_.end()) return it->second << 1;
+  if (const std::uint32_t* hit = strash_.find(key)) return *hit << 1;
   budget_->charge();
   const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
   nodes_.push_back(Node{a, b, -1});
-  strash_.emplace(key, id);
+  strash_.insert(key, id);
   return id << 1;
 }
 

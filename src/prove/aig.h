@@ -1,5 +1,5 @@
 // Structurally-hashed AND-inverter graph over which haven::prove lowers the
-// settled combinational state of an elaborated design (DESIGN.md §12).
+// settled combinational state of a compiled sim::Program (DESIGN.md §12).
 //
 // Literals are node-id-with-complement integers (node << 1 | complement), so
 // negation is free and the two-level simplification rules in land() keep the
@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace haven::prove {
@@ -24,9 +23,8 @@ namespace haven::prove {
 // flow: prove_equivalence() catches it and reports kBudgetExceeded.
 struct BudgetExceededError {};
 
-// Shared allocation meter for one proof attempt: AIG nodes, BDD nodes and
-// exhaustive-sweep word operations all charge the same pool. limit 0 means
-// unbounded.
+// Shared allocation meter for one proof attempt: AIG nodes and BDD nodes
+// charge the same pool. limit 0 means unbounded.
 class Budget {
  public:
   explicit Budget(std::uint64_t limit) : limit_(limit) {}
@@ -35,15 +33,61 @@ class Budget {
     used_ += n;
     if (limit_ != 0 && used_ > limit_) throw BudgetExceededError{};
   }
-  bool fits(std::uint64_t n) const { return limit_ == 0 || used_ + n <= limit_; }
   std::uint64_t used() const { return used_; }
-  // Roll the meter back to an earlier mark (used when the BDD attempt blows
-  // the budget and its nodes are discarded in favour of the cofactor sweep).
-  void rewind(std::uint64_t mark) { used_ = mark; }
 
  private:
   std::uint64_t limit_;
   std::uint64_t used_ = 0;
+};
+
+// Hash map from a key to a 32-bit node reference, for the AIG strash and the
+// BDD unique and and-tables: open addressing with linear probing over a
+// power-of-two slot array kept at most half full, so a lookup is one hash and
+// a short scan of adjacent slots. The value-initialised Key marks an empty
+// slot, so it is never inserted; nothing is erased.
+template <class Key, class Hash>
+class FlatMap {
+ public:
+  const std::uint32_t* find(const Key& key) const {
+    const Slot& s = slots_[probe(key)];
+    return s.key == key ? &s.value : nullptr;
+  }
+  // `key` must be absent.
+  void insert(const Key& key, std::uint32_t value) {
+    if (2 * ++size_ > slots_.size()) {
+      std::vector<Slot> old(2 * slots_.size());
+      old.swap(slots_);
+      for (const Slot& s : old) {
+        if (!(s.key == Key{})) slots_[probe(s.key)] = s;
+      }
+    }
+    slots_[probe(key)] = Slot{key, value};
+  }
+
+ private:
+  struct Slot {
+    Key key{};
+    std::uint32_t value = 0;
+  };
+  // The slot holding `key`, or the empty slot where it belongs.
+  std::size_t probe(const Key& key) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = Hash{}(key) & mask;
+    while (!(slots_[i].key == key || slots_[i].key == Key{})) i = (i + 1) & mask;
+    return i;
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(256);
+  std::size_t size_ = 0;
+};
+
+// Spreads every key bit into the low bits FlatMap masks with.
+struct Mix64 {
+  std::size_t operator()(std::uint64_t k) const {
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdULL;
+    return static_cast<std::size_t>(k ^ (k >> 33));
+  }
 };
 
 // Literal: node id << 1 | complement bit.
@@ -78,7 +122,6 @@ class Aig {
   bool is_const(Lit l) const { return lit_node(l) == 0; }
 
   const std::vector<Node>& nodes() const { return nodes_; }
-  std::size_t input_count() const { return input_count_; }
   Budget* budget() const { return budget_; }
 
   // Node ids of the transitive fan-in cone of `root`, ascending (operands
@@ -88,7 +131,7 @@ class Aig {
 
  private:
   std::vector<Node> nodes_;
-  std::unordered_map<std::uint64_t, std::uint32_t> strash_;
+  FlatMap<std::uint64_t, Mix64> strash_;  // (a << 32 | b), a >= 2
   std::size_t input_count_ = 0;
   Budget* budget_;
 };

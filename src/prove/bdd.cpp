@@ -15,13 +15,12 @@ Bdd::Ref Bdd::mk(std::uint32_t v, Ref hi, Ref lo) {
     lo = lnot(lo);
     out_compl = 1u;
   }
-  const UniqueKey key{v, hi, lo};
-  const auto it = unique_.find(key);
-  if (it != unique_.end()) return (it->second << 1) | out_compl;
+  const Node key{v, hi, lo};
+  if (const std::uint32_t* hit = unique_.find(key)) return (*hit << 1) | out_compl;
   budget_->charge();
   const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
-  nodes_.push_back(Node{v, hi, lo});
-  unique_.emplace(key, id);
+  nodes_.push_back(key);
+  unique_.insert(key, id);
   return (id << 1) | out_compl;
 }
 
@@ -33,8 +32,7 @@ Bdd::Ref Bdd::land(Ref f, Ref g) {
   if (f == lnot(g)) return kFalseRef;
   if (f > g) std::swap(f, g);
   const std::uint64_t key = (std::uint64_t{f} << 32) | g;
-  const auto it = and_cache_.find(key);
-  if (it != and_cache_.end()) return it->second;
+  if (const std::uint32_t* hit = and_cache_.find(key)) return *hit;
 
   const std::uint32_t vf = var_of(f), vg = var_of(g);
   const std::uint32_t v = std::min(vf, vg);
@@ -46,7 +44,7 @@ Bdd::Ref Bdd::land(Ref f, Ref g) {
   const Ref t = land(cofactor(f, vf, true), cofactor(g, vg, true));
   const Ref e = land(cofactor(f, vf, false), cofactor(g, vg, false));
   const Ref res = mk(v, t, e);
-  and_cache_.emplace(key, res);
+  and_cache_.insert(key, res);
   return res;
 }
 

@@ -8,12 +8,10 @@
 // the exhaustive testbench sweep uses for its vector counter.
 //
 // Node allocation charges the shared prove::Budget; a blow-up throws
-// BudgetExceededError and the prover falls back to the 64-lane cofactor
-// sweep (and from there, to simulation).
+// BudgetExceededError and the prover defers the candidate to simulation.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "prove/aig.h"
@@ -38,8 +36,6 @@ class Bdd {
 
   Ref land(Ref f, Ref g);
 
-  std::size_t node_count() const { return nodes_.size(); }
-
  private:
   static constexpr std::uint32_t kTermVar = ~std::uint32_t{0};
 
@@ -47,21 +43,11 @@ class Bdd {
     std::uint32_t var = kTermVar;
     Ref hi = kTrueRef;
     Ref lo = kTrueRef;  // invariant: never complemented (canonical form)
+    bool operator==(const Node&) const = default;
   };
-
-  struct UniqueKey {
-    std::uint32_t var;
-    Ref hi, lo;
-    bool operator==(const UniqueKey&) const = default;
-  };
-  struct UniqueHash {
-    std::size_t operator()(const UniqueKey& k) const {
-      std::uint64_t h = (std::uint64_t{k.var} + 1) * 0x9e3779b97f4a7c15ULL;
-      h ^= ((std::uint64_t{k.hi} << 32) | k.lo) * 0xda942042e4dd58b5ULL;
-      h ^= h >> 29;
-      h *= 0xbf58476d1ce4e5b9ULL;
-      h ^= h >> 32;
-      return static_cast<std::size_t>(h);
+  struct NodeHash {
+    std::size_t operator()(const Node& n) const {
+      return Mix64{}((std::uint64_t{n.hi} << 32 | n.lo) ^ std::uint64_t{n.var} << 48);
     }
   };
 
@@ -69,8 +55,8 @@ class Bdd {
   std::uint32_t var_of(Ref r) const { return nodes_[r >> 1].var; }
 
   std::vector<Node> nodes_;
-  std::unordered_map<UniqueKey, std::uint32_t, UniqueHash> unique_;
-  std::unordered_map<std::uint64_t, Ref> and_cache_;
+  FlatMap<Node, NodeHash> unique_;           // never the terminal Node{}
+  FlatMap<std::uint64_t, Mix64> and_cache_;  // (f << 32 | g), f >= 2
   Budget* budget_;
 };
 

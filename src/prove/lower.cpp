@@ -8,11 +8,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "sim/compile.h"
 #include "sim/program.h"
 #include "sim/value.h"
 
@@ -37,7 +37,7 @@ class Lowerer {
  public:
   explicit Lowerer(Aig* aig) : aig_(aig), budget_(aig->budget()) {}
 
-  std::vector<Word> run(const sim::ElabDesign& design,
+  std::vector<Word> run(const Program& prog,
                         const std::map<std::string, std::vector<Lit>>& input_vars);
 
  private:
@@ -617,22 +617,22 @@ void Lowerer::exec(const Program& prog, const sim::ProgProcess& proc) {
   }
 }
 
-std::vector<Word> Lowerer::run(const sim::ElabDesign& design,
+std::vector<Word> Lowerer::run(const Program& prog,
                                const std::map<std::string, std::vector<Lit>>& input_vars) {
   // 1. The simulator's own lowering and schedule. Anything the levelizer
   // keeps event-driven is not a pure function of the current inputs.
-  Program prog;
+  if (!prog.levelized) unsupported(prog.levelize_failure);
   try {
-    prog = sim::compile(design);
-    if (!prog.levelized) unsupported(prog.levelize_failure);
     // 2. The post-initial state: power-up X, then initial blocks and their
-    // NBA commit, run by the simulator itself.
+    // NBA commit, run by the simulator itself. It lives only inside this
+    // call, so it borrows `prog` through a non-owning handle.
     regs_.assign(prog.num_regs, Word(1));
     if (prog.initial_procs.empty()) {
       for (std::size_t s = 0; s < prog.signals.size(); ++s)
         regs_[s] = all_x(checked_width(prog.signals[s].width));
     } else {
-      const sim::CompiledSimulator init = sim::CompiledSimulator::unsettled(prog);
+      const sim::CompiledSimulator init = sim::CompiledSimulator::unsettled(
+          std::shared_ptr<const Program>(std::shared_ptr<const Program>(), &prog));
       if (!init.converged()) unsupported("initial block did not converge");
       for (std::uint32_t s = 0; s < prog.signals.size(); ++s)
         regs_[s] = from_value(init.peek(sim::SignalHandle{s}));
@@ -699,9 +699,9 @@ std::vector<Word> Lowerer::run(const sim::ElabDesign& design,
 
 }  // namespace
 
-std::vector<Word> lower_design(Aig* aig, const sim::ElabDesign& design,
+std::vector<Word> lower_design(Aig* aig, const sim::Program& program,
                                const std::map<std::string, std::vector<Lit>>& input_vars) {
-  return Lowerer(aig).run(design, input_vars);
+  return Lowerer(aig).run(program, input_vars);
 }
 
 }  // namespace haven::prove

@@ -3,8 +3,8 @@
 //
 // Each 4-state signal bit becomes a (value, unknown) literal pair with the
 // same invariant sim::Value::normalize enforces: an unknown bit carries no
-// defined value (v implies !x). lower_design() compiles the design with
-// sim::compile — the compiled simulator's own bytecode and levelized
+// defined value (v implies !x). lower_design() takes the design's compiled
+// sim::Program — the compiled simulator's own bytecode and levelized
 // schedule — takes the post-initial state from the simulator's own code,
 // binds the swept inputs, and runs each triggered combinational process of
 // Program::comb_order once over dual-rail words, one symbolic handler per
@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "prove/aig.h"
-#include "sim/elaborate.h"
+#include "sim/program.h"
 
 namespace haven::prove {
 
@@ -53,13 +53,13 @@ struct Word {
   std::vector<Bit> bits;
 };
 
-// Settled state of every signal (indexed by signal id) as a pure function of
+// Settled state of every signal (indexed by Program slot) as a pure function of
 // the AIG inputs. `input_vars` maps top-level input port names to their
 // port-width variable literals, LSB first; the same literals are passed for
 // DUT and golden so the miscompare network shares structure. Inputs not in
 // the map (clock/reset names) keep their post-initial constant values.
 // Throws UnsupportedError / BudgetExceededError.
-std::vector<Word> lower_design(Aig* aig, const sim::ElabDesign& design,
+std::vector<Word> lower_design(Aig* aig, const sim::Program& program,
                                const std::map<std::string, std::vector<Lit>>& input_vars);
 
 }  // namespace haven::prove

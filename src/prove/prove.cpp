@@ -1,30 +1,22 @@
 #include "prove/prove.h"
 
 #include <map>
-#include <optional>
-#include <unordered_map>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "prove/aig.h"
 #include "prove/bdd.h"
 #include "prove/lower.h"
-#include "sim/elaborate.h"
+#include "sim/compile.h"
 
 namespace haven::prove {
 
 namespace {
 
+using Stage = sim::CompiledModule::Stage;
 using verilog::Dir;
 using verilog::Module;
 using verilog::SourceFile;
-
-// 64-lane truth-table patterns for the first six inputs of the exhaustive
-// cofactor sweep; inputs beyond six are fixed per block.
-constexpr std::uint64_t kLane[6] = {
-    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
-    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
-};
 
 // One variable per data-input bit, in port order, LSB first — the exact bit
 // layout of the harness's exhaustive vector counter, which doubles as the BDD
@@ -59,35 +51,6 @@ bool bdd_unsat(const Aig& aig, Lit root, Budget* budget) {
   return child(root) == Bdd::kFalseRef;
 }
 
-// 64-lane exhaustive evaluation of the cone; returns true iff `root` is 0 on
-// every input assignment. Never throws: the caller pre-checks the budget.
-bool sweep_unsat(const Aig& aig, Lit root, Budget* budget) {
-  const auto cone = aig.cone(root);
-  const std::size_t n = aig.input_count();
-  const std::uint64_t blocks = n <= 6 ? 1 : (std::uint64_t{1} << (n - 6));
-  const std::uint64_t lane_mask =
-      n >= 6 ? ~std::uint64_t{0} : ((std::uint64_t{1} << (std::uint64_t{1} << n)) - 1);
-  std::vector<std::uint64_t> val(aig.nodes().size(), 0);
-  const auto cv = [&](Lit l) -> std::uint64_t {
-    const std::uint64_t v = lit_node(l) == 0 ? 0 : val[lit_node(l)];
-    return lit_compl(l) ? ~v : v;
-  };
-  for (std::uint64_t block = 0; block < blocks; ++block) {
-    budget->charge(cone.size());
-    for (const std::uint32_t id : cone) {
-      const Aig::Node& node = aig.nodes()[id];
-      if (node.input >= 0) {
-        val[id] = node.input < 6 ? kLane[node.input]
-                                 : (((block >> (node.input - 6)) & 1) ? ~std::uint64_t{0} : 0);
-      } else {
-        val[id] = cv(node.a) & cv(node.b);
-      }
-    }
-    if (cv(root) & lane_mask) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 bool spec_provable(const Module& golden, const sim::StimulusSpec& spec) {
@@ -96,17 +59,14 @@ bool spec_provable(const Module& golden, const sim::StimulusSpec& spec) {
   return sim::exhaustive_sweep_bits(golden, spec).has_value();
 }
 
-bool golden_provable(const Module& golden, const SourceFile* golden_file,
-                     const sim::StimulusSpec& spec, const ProveOptions& opts) {
-  if (!spec_provable(golden, spec)) return false;
+bool golden_provable(const sim::CompiledModule& golden, const sim::StimulusSpec& spec,
+                     const ProveOptions& opts) {
+  if (!spec_provable(*golden.module, spec) || golden.failed != Stage::kNone) return false;
   try {
-    const sim::ElabDesign design = sim::elaborate(golden, golden_file);
     Budget budget(opts.node_budget);
     Aig aig(&budget);
-    lower_design(&aig, design, make_input_vars(&aig, golden, spec));
+    lower_design(&aig, *golden.program, make_input_vars(&aig, *golden.module, spec));
     return true;
-  } catch (const sim::ElabError&) {
-    return false;
   } catch (const UnsupportedError&) {
     return false;
   } catch (const BudgetExceededError&) {
@@ -114,9 +74,14 @@ bool golden_provable(const Module& golden, const SourceFile* golden_file,
   }
 }
 
-ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, const Module& golden,
-                              const SourceFile* golden_file, const sim::StimulusSpec& spec,
-                              const ProveOptions& opts) {
+bool golden_provable(const Module& golden, const SourceFile* golden_file,
+                     const sim::StimulusSpec& spec, const ProveOptions& opts) {
+  return spec_provable(golden, spec) &&
+         golden_provable(sim::compile_module(golden, golden_file), spec, opts);
+}
+
+ProveResult prove_equivalence(const sim::CompiledModule& dut, const sim::CompiledModule& golden,
+                              const sim::StimulusSpec& spec, const ProveOptions& opts) {
   ProveResult r;  // defaults to kUnsupported
   if (spec.sequential) {
     r.reason = "sequential task";
@@ -125,52 +90,53 @@ ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, con
 
   // Interface first: run_diff_test fails a candidate on this before touching
   // either design, so the fast-path verdict (and reason) must match.
-  const sim::DiffResult iface = sim::check_interface(dut, golden);
+  const Module& golden_mod = *golden.module;
+  const sim::DiffResult iface = sim::check_interface(*dut.module, golden_mod);
   if (!iface.passed) {
     r.status = ProveStatus::kInequivalent;
     r.reason = iface.reason;
     return r;
   }
 
-  sim::ElabDesign gd, dd;
-  try {
-    gd = sim::elaborate(golden, golden_file);
-  } catch (const sim::ElabError& e) {
+  if (golden.failed == Stage::kElaborate) {
     // The harness escalates this to a task fault; simulate to reproduce it.
-    r.reason = std::string("golden elaboration failed: ") + e.what();
+    r.reason = "golden elaboration failed: " + golden.error;
     return r;
   }
-  try {
-    dd = sim::elaborate(dut, dut_file);
-  } catch (const sim::ElabError& e) {
+  if (dut.failed == Stage::kElaborate) {
     // run_diff_test's exact verdict for a candidate that fails to elaborate.
     r.status = ProveStatus::kInequivalent;
-    r.reason = std::string("dut elaboration failed: ") + e.what();
+    r.reason = "dut elaboration failed: " + dut.error;
     return r;
   }
 
-  const std::optional<int> bits = sim::exhaustive_sweep_bits(golden, spec);
-  if (!bits) {
+  if (!sim::exhaustive_sweep_bits(golden_mod, spec)) {
     r.reason = "input space exceeds the exhaustive sweep";
     return r;
   }
-  const int total_bits = *bits;
 
   Budget budget(opts.node_budget);
   Aig aig(&budget);
   try {
-    const auto vars = make_input_vars(&aig, golden, spec);
-    const std::vector<Word> gs = lower_design(&aig, gd, vars);
-    const std::vector<Word> ds = lower_design(&aig, dd, vars);
+    const auto vars = make_input_vars(&aig, golden_mod, spec);
+    // A compile-stage error declines the proof, golden side first.
+    const auto lower = [&](const sim::CompiledModule& m) {
+      if (m.failed == Stage::kCompile) throw UnsupportedError(m.error);
+      return lower_design(&aig, *m.program, vars);
+    };
+    const std::vector<Word> gs = lower(golden);
+    const std::vector<Word> ds = lower(dut);
 
     // Miscompare network: outputs_match per golden output port — DUT must
     // match every golden-defined bit and be defined wherever golden is.
+    const auto& golden_slots = golden.program->signal_slots;
+    const auto& dut_slots = dut.program->signal_slots;
     Lit mis = kFalse;
-    for (const auto& p : golden.ports) {
+    for (const auto& p : golden_mod.ports) {
       if (p.dir != Dir::kOutput) continue;
-      const auto git = gd.signal_ids.find(p.name);
-      const auto dit = dd.signal_ids.find(p.name);
-      if (git == gd.signal_ids.end() || dit == dd.signal_ids.end()) {
+      const auto git = golden_slots.find(p.name);
+      const auto dit = dut_slots.find(p.name);
+      if (git == golden_slots.end() || dit == dut_slots.end()) {
         r.reason = "output port missing from the elaborated design";
         r.nodes = budget.used();
         return r;
@@ -204,24 +170,14 @@ ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, con
     }
 
     bool equivalent = false;
-    const std::uint64_t mark = budget.used();
     try {
       equivalent = bdd_unsat(aig, mis, &budget);
       r.used_bdd = true;
     } catch (const BudgetExceededError&) {
-      // Discard the BDD attempt and fall back to the 64-lane cofactor sweep,
-      // if the remaining budget covers it in full.
-      budget.rewind(mark);
-      const std::uint64_t cost = aig.cone(mis).size() *
-                                 (total_bits <= 6 ? 1 : (std::uint64_t{1} << (total_bits - 6)));
-      if (!budget.fits(cost)) {
-        r.status = ProveStatus::kBudgetExceeded;
-        r.reason = "proof outgrew the node budget";
-        r.nodes = budget.used();
-        return r;
-      }
-      equivalent = sweep_unsat(aig, mis, &budget);
-      r.used_exhaustive = true;
+      r.status = ProveStatus::kBudgetExceeded;
+      r.reason = "proof outgrew the node budget";
+      r.nodes = budget.used();
+      return r;
     }
     r.nodes = budget.used();
     r.status = equivalent ? ProveStatus::kEquivalent : ProveStatus::kInequivalent;
@@ -237,6 +193,13 @@ ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, con
     r.nodes = budget.used();
     return r;
   }
+}
+
+ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, const Module& golden,
+                              const SourceFile* golden_file, const sim::StimulusSpec& spec,
+                              const ProveOptions& opts) {
+  return prove_equivalence(sim::compile_module(dut, dut_file),
+                           sim::compile_module(golden, golden_file), spec, opts);
 }
 
 }  // namespace haven::prove

@@ -1043,4 +1043,20 @@ class Compiler {
 
 Program compile(const ElabDesign& design) { return Compiler(design).run(); }
 
+CompiledModule compile_module(const verilog::Module& module, const verilog::SourceFile* file) {
+  CompiledModule m;
+  m.module = &module;
+  m.file = file;
+  auto stage = CompiledModule::Stage::kElaborate;
+  try {
+    const ElabDesign design = elaborate(module, file);
+    stage = CompiledModule::Stage::kCompile;
+    m.program = std::make_shared<const Program>(compile(design));
+  } catch (const ElabError& e) {
+    m.failed = stage;
+    m.error = e.what();
+  }
+  return m;
+}
+
 }  // namespace haven::sim

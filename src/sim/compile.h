@@ -24,13 +24,38 @@
 // levelized Program symbolically (prove/lower.h).
 #pragma once
 
+#include <cstdint>
+#include <memory>
+#include <string>
+
 #include "sim/elaborate.h"
 #include "sim/program.h"
+#include "verilog/ast.h"
 
 namespace haven::sim {
 
 // Throws ElabError for the same eager faults as the Simulator constructor
 // (an edge on an unknown signal); everything else stays lazy.
 Program compile(const ElabDesign& design);
+
+// A parsed module built for simulation once: its Program, shared read-only
+// by every simulator and proof that runs it, or the stage whose ElabError
+// stopped the build. The engine builds a task's golden once per task and a
+// candidate once per pass; the testbench and haven::prove read the same one
+// and map a recorded error to their own verdicts.
+struct CompiledModule {
+  enum class Stage : std::uint8_t { kNone, kElaborate, kCompile };
+
+  const verilog::Module* module = nullptr;    // not owned
+  const verilog::SourceFile* file = nullptr;  // instance definitions; may be null
+  std::shared_ptr<const Program> program;     // null iff failed != kNone
+  Stage failed = Stage::kNone;
+  std::string error;  // the ElabError's text
+};
+
+// Elaborate and compile `module`, recording an ElabError from either stage
+// in the result instead of throwing it. `module` and `file` must outlive the
+// result.
+CompiledModule compile_module(const verilog::Module& module, const verilog::SourceFile* file);
 
 }  // namespace haven::sim

@@ -52,7 +52,6 @@ struct ElabDesign {
   std::vector<std::string> outputs;
 
   const ElabSignal& signal(const std::string& name) const;
-  bool has_signal(const std::string& name) const { return signal_ids.contains(name); }
 };
 
 // Elaborate `top`; `file` supplies definitions for instantiated modules (may

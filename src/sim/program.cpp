@@ -26,38 +26,41 @@ std::uint32_t Program::slot_of(const std::string& name) const {
   return it->second;
 }
 
-CompiledSimulator::CompiledSimulator(const ElabDesign& design, std::uint64_t step_budget)
-    : CompiledSimulator(compile(design), step_budget) {}
-
-CompiledSimulator::CompiledSimulator(Program program, std::uint64_t step_budget)
+CompiledSimulator::CompiledSimulator(std::shared_ptr<const Program> program,
+                                     std::uint64_t step_budget)
     : program_(std::move(program)), step_budget_(step_budget) {
   init();
 }
 
-CompiledSimulator::CompiledSimulator(Program program, Unsettled) : program_(std::move(program)) {
+CompiledSimulator::CompiledSimulator(const ElabDesign& design, std::uint64_t step_budget)
+    : CompiledSimulator(std::make_shared<const Program>(compile(design)), step_budget) {}
+
+CompiledSimulator::CompiledSimulator(std::shared_ptr<const Program> program, Unsettled)
+    : program_(std::move(program)) {
   power_up();
 }
 
-CompiledSimulator CompiledSimulator::unsettled(Program program) {
+CompiledSimulator CompiledSimulator::unsettled(std::shared_ptr<const Program> program) {
   return CompiledSimulator(std::move(program), Unsettled{});
 }
 
 void CompiledSimulator::power_up() {
-  const std::size_t nsig = program_.signals.size();
-  regs_.assign(program_.num_regs, Value(1));
-  for (std::size_t i = 0; i < nsig; ++i) regs_[i] = Value::all_x(program_.signals[i].width);
+  const Program& prog = *program_;
+  const std::size_t nsig = prog.signals.size();
+  regs_.assign(prog.num_regs, Value(1));
+  for (std::size_t i = 0; i < nsig; ++i) regs_[i] = Value::all_x(prog.signals[i].width);
   prev_edge_.assign(nsig, Value(1));
   dirty_.assign((nsig + 63) / 64, 0);
-  const std::size_t proc_words = (program_.processes.size() + 63) / 64;
+  const std::size_t proc_words = (prog.processes.size() + 63) / 64;
   pending_.assign(std::max<std::size_t>(proc_words, 1), 0);
   fired_.assign(std::max<std::size_t>(proc_words, 1), 0);
-  loop_counters_.assign(program_.num_loops, 0);
+  loop_counters_.assign(prog.num_loops, 0);
   run_initial_blocks();
 }
 
 void CompiledSimulator::init() {
   power_up();
-  const std::size_t nsig = program_.signals.size();
+  const std::size_t nsig = program_->signals.size();
 
   // Settle everything once from the initial state (all signals dirty), with
   // edge bookkeeping primed to the post-initial values — the interpreter's
@@ -65,9 +68,9 @@ void CompiledSimulator::init() {
   std::fill(dirty_.begin(), dirty_.end(), 0);
   for (std::size_t i = 0; i < nsig; ++i) dirty_[i >> 6] |= std::uint64_t{1} << (i & 63);
   any_dirty_ = nsig > 0;
-  for (std::uint32_t slot : program_.edge_sigs) prev_edge_[slot] = regs_[slot];
+  for (std::uint32_t slot : program_->edge_sigs) prev_edge_[slot] = regs_[slot];
   update();
-  for (std::uint32_t slot : program_.edge_sigs) prev_edge_[slot] = regs_[slot];
+  for (std::uint32_t slot : program_->edge_sigs) prev_edge_[slot] = regs_[slot];
 }
 
 void CompiledSimulator::bump_steps() {
@@ -79,8 +82,8 @@ void CompiledSimulator::bump_steps() {
 }
 
 void CompiledSimulator::run_initial_blocks() {
-  for (std::uint32_t pi : program_.initial_procs) {
-    const ProgProcess& p = program_.processes[pi];
+  for (std::uint32_t pi : program_->initial_procs) {
+    const ProgProcess& p = program_->processes[pi];
     exec(p.begin, p.end);
   }
   // Initial-block nonblocking assigns commit immediately after; any dirty
@@ -96,11 +99,11 @@ void CompiledSimulator::mark_dirty(std::uint32_t slot) {
 }
 
 SignalHandle CompiledSimulator::resolve(const std::string& name) const {
-  return SignalHandle{program_.slot_of(name)};
+  return SignalHandle{program_->slot_of(name)};
 }
 
 void CompiledSimulator::poke(SignalHandle h, std::uint64_t value) {
-  const ProgSignal& sig = program_.signals[h.slot];
+  const ProgSignal& sig = program_->signals[h.slot];
   if (!sig.is_input) throw ElabError("poke on non-input signal '" + sig.name + "'");
   const Value v = Value::of(value, sig.width);
   if (regs_[h.slot].identical(v)) return;
@@ -113,7 +116,7 @@ void CompiledSimulator::poke(SignalHandle h, std::uint64_t value) {
 }
 
 void CompiledSimulator::poke_x(SignalHandle h) {
-  const ProgSignal& sig = program_.signals[h.slot];
+  const ProgSignal& sig = program_->signals[h.slot];
   if (!sig.is_input) throw ElabError("poke_x on non-input signal '" + sig.name + "'");
   const Value v = Value::all_x(sig.width);
   if (regs_[h.slot].identical(v)) return;
@@ -126,21 +129,21 @@ void CompiledSimulator::poke_x(SignalHandle h) {
 Value CompiledSimulator::peek(SignalHandle h) const { return regs_[h.slot]; }
 
 void CompiledSimulator::poke(const std::string& input, std::uint64_t value) {
-  const std::uint32_t slot = program_.slot_of(input);
-  if (!program_.signals[slot].is_input)
+  const std::uint32_t slot = program_->slot_of(input);
+  if (!program_->signals[slot].is_input)
     throw ElabError("poke on non-input signal '" + input + "'");
   poke(SignalHandle{slot}, value);
 }
 
 void CompiledSimulator::poke_x(const std::string& input) {
-  const std::uint32_t slot = program_.slot_of(input);
-  if (!program_.signals[slot].is_input)
+  const std::uint32_t slot = program_->slot_of(input);
+  if (!program_->signals[slot].is_input)
     throw ElabError("poke_x on non-input signal '" + input + "'");
   poke_x(SignalHandle{slot});
 }
 
 Value CompiledSimulator::peek(const std::string& signal) const {
-  return regs_[program_.slot_of(signal)];
+  return regs_[program_->slot_of(signal)];
 }
 
 void CompiledSimulator::clock_cycle(const std::string& clk) {
@@ -150,9 +153,10 @@ void CompiledSimulator::clock_cycle(const std::string& clk) {
 
 void CompiledSimulator::update() {
   util::maybe_inject(util::kSiteSimRun);
+  const Program& prog = *program_;
   for (int round = 0; round < kMaxDeltaCycles; ++round) {
     // 1. Combinational settling (active region).
-    if (program_.levelized) {
+    if (prog.levelized) {
       settle_levelized();
     } else if (!settle_event_driven()) {
       return;  // zero-delay oscillation: converged_ already cleared
@@ -161,7 +165,7 @@ void CompiledSimulator::update() {
     // 2. Detect edges against the last quiescent state.
     std::fill(fired_.begin(), fired_.end(), 0);
     bool any_fired = false;
-    for (std::uint32_t slot : program_.edge_sigs) {
+    for (std::uint32_t slot : prog.edge_sigs) {
       const Value& old_v = prev_edge_[slot];
       const Value& new_v = regs_[slot];
       if (old_v.identical(new_v)) continue;
@@ -171,8 +175,8 @@ void CompiledSimulator::update() {
       const bool new0 = new_v.is_fully_defined() && !(new_v.bits() & 1u);
       const bool pos = !old1 && new1;  // to-1 transition
       const bool neg = !old0 && new0;  // to-0 transition
-      for (std::uint32_t pi : program_.edge_watchers[slot]) {
-        for (const auto& [eslot, edge] : program_.processes[pi].edges) {
+      for (std::uint32_t pi : prog.edge_watchers[slot]) {
+        for (const auto& [eslot, edge] : prog.processes[pi].edges) {
           if (eslot != slot) continue;
           if ((edge == Edge::kPos && pos) || (edge == Edge::kNeg && neg)) {
             fired_[pi >> 6] |= std::uint64_t{1} << (pi & 63);
@@ -181,7 +185,7 @@ void CompiledSimulator::update() {
         }
       }
     }
-    for (std::uint32_t slot : program_.edge_sigs) prev_edge_[slot] = regs_[slot];
+    for (std::uint32_t slot : prog.edge_sigs) prev_edge_[slot] = regs_[slot];
     if (!any_fired) return;
 
     // 3. Execute clocked processes (NBA accumulate), then commit NBAs.
@@ -190,7 +194,7 @@ void CompiledSimulator::update() {
       while (word) {
         const int b = ctz64(word);
         word &= word - 1;
-        run_process(program_.processes[w * 64 + b]);
+        run_process(prog.processes[w * 64 + b]);
       }
     }
     nba_scratch_.clear();
@@ -204,6 +208,7 @@ void CompiledSimulator::update() {
 }
 
 bool CompiledSimulator::settle_event_driven() {
+  const Program& prog = *program_;
   int delta = 0;
   while (any_dirty_) {
     if (++delta > kMaxDeltaCycles) {
@@ -218,7 +223,7 @@ bool CompiledSimulator::settle_event_driven() {
       while (word) {
         const int b = ctz64(word);
         word &= word - 1;
-        for (std::uint32_t pi : program_.comb_watchers[w * 64 + b]) {
+        for (std::uint32_t pi : prog.comb_watchers[w * 64 + b]) {
           pending_[pi >> 6] |= std::uint64_t{1} << (pi & 63);
         }
       }
@@ -230,7 +235,7 @@ bool CompiledSimulator::settle_event_driven() {
       while (word) {
         const int b = ctz64(word);
         word &= word - 1;
-        run_process(program_.processes[w * 64 + b]);
+        run_process(prog.processes[w * 64 + b]);
       }
     }
   }
@@ -239,21 +244,22 @@ bool CompiledSimulator::settle_event_driven() {
 
 void CompiledSimulator::settle_levelized() {
   if (!any_dirty_) return;
+  const Program& prog = *program_;
   std::fill(pending_.begin(), pending_.end(), 0);
   // Watchers of a written signal always have a strictly greater rank than its
   // writer, so draining dirty signals into the pending-rank mask only ever
   // sets bits ahead of the sweep cursor. The one exception is the writer
   // itself when it reads its own targets: those reads are write-before-read,
   // so re-running it would change nothing, and `running` is skipped.
-  const auto drain = [this](std::uint32_t running) {
+  const auto drain = [this, &prog](std::uint32_t running) {
     if (!any_dirty_) return;
     for (std::size_t w = 0; w < dirty_.size(); ++w) {
       std::uint64_t word = dirty_[w];
       while (word) {
         const int b = ctz64(word);
         word &= word - 1;
-        for (std::uint32_t pi : program_.comb_watchers[w * 64 + b]) {
-          const std::uint32_t rank = program_.comb_rank[pi];
+        for (std::uint32_t pi : prog.comb_watchers[w * 64 + b]) {
+          const std::uint32_t rank = prog.comb_rank[pi];
           if (rank != running) pending_[rank >> 6] |= std::uint64_t{1} << (rank & 63);
         }
       }
@@ -262,12 +268,12 @@ void CompiledSimulator::settle_levelized() {
     any_dirty_ = false;
   };
   drain(UINT32_MAX);
-  const std::size_t rank_words = (program_.comb_order.size() + 63) / 64;
+  const std::size_t rank_words = (prog.comb_order.size() + 63) / 64;
   for (std::size_t w = 0; w < rank_words; ++w) {
     while (std::uint64_t word = pending_[w]) {
       const auto rank = static_cast<std::uint32_t>(w * 64 + ctz64(word));
       pending_[w] &= ~(std::uint64_t{1} << (rank & 63));
-      run_process(program_.processes[program_.comb_order[rank]]);
+      run_process(prog.processes[prog.comb_order[rank]]);
       drain(rank);
     }
   }
@@ -288,14 +294,15 @@ void CompiledSimulator::write_signal(std::uint32_t slot, int hi, int lo, const V
   const std::uint64_t new_bits =
       (cur.bits() & ~field_mask) | ((vv.bits() << lo) & field_mask);
   const std::uint64_t new_xz = (cur.xz() & ~field_mask) | ((vv.xz() << lo) & field_mask);
-  const Value next = Value::with_xz(new_bits, new_xz, program_.signals[slot].width);
+  const Value next = Value::with_xz(new_bits, new_xz, program_->signals[slot].width);
   if (next.identical(cur)) return;
   cur = next;
   mark_dirty(slot);
 }
 
 void CompiledSimulator::exec(std::uint32_t pc, std::uint32_t end) {
-  const Instr* code = program_.code.data();
+  const Program& prog = *program_;
+  const Instr* code = prog.code.data();
   Value* r = regs_.data();
   while (pc < end) {
     const Instr& in = code[pc];
@@ -304,9 +311,9 @@ void CompiledSimulator::exec(std::uint32_t pc, std::uint32_t end) {
         // mode 1: a width-faulting literal built lazily so the invalid_argument
         // surfaces at evaluation time, exactly like the interpreter.
         if (in.mode == 0) {
-          r[in.dst] = program_.consts[in.a];
+          r[in.dst] = prog.consts[in.a];
         } else {
-          const RawNumber& n = program_.raw_numbers[in.a];
+          const RawNumber& n = prog.raw_numbers[in.a];
           r[in.dst] = Value::with_xz(n.bits, n.xz, n.width);
         }
         ++pc;
@@ -454,7 +461,7 @@ void CompiledSimulator::exec(std::uint32_t pc, std::uint32_t end) {
       case Op::kStoreBitDyn: {
         const Value& idx = r[in.b];
         if (idx.is_fully_defined() &&
-            idx.bits() < static_cast<std::uint64_t>(program_.signals[in.dst].width)) {
+            idx.bits() < static_cast<std::uint64_t>(prog.signals[in.dst].width)) {
           const int i = static_cast<int>(idx.bits());
           write_signal(in.dst, i, i, r[in.a]);
         }
@@ -470,14 +477,14 @@ void CompiledSimulator::exec(std::uint32_t pc, std::uint32_t end) {
       case Op::kNbaBitDyn: {
         const Value& idx = r[in.b];
         if (idx.is_fully_defined() &&
-            idx.bits() < static_cast<std::uint64_t>(program_.signals[in.dst].width)) {
+            idx.bits() < static_cast<std::uint64_t>(prog.signals[in.dst].width)) {
           const int i = static_cast<int>(idx.bits());
           nba_queue_.push_back({in.dst, i, i, r[in.a].resized(1)});
         }
         ++pc;
         break;
       }
-      case Op::kThrow: throw ElabError(program_.messages[in.a]);
+      case Op::kThrow: throw ElabError(prog.messages[in.a]);
     }
   }
 }

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -109,8 +110,8 @@ struct RawNumber {
   int width = 32;
 };
 
-// The compiled design: immutable after compile(), shareable across
-// CompiledSimulator instances.
+// The compiled design: immutable after compile(), shared by every
+// CompiledSimulator that runs it.
 struct Program {
   std::string top;
   std::vector<ProgSignal> signals;
@@ -151,22 +152,24 @@ struct Program {
 // included) plus the interned-slot fast path shared through SignalHandle.
 class CompiledSimulator {
  public:
-  // Compile-and-run convenience; `step_budget` = 0 means unlimited and also
-  // covers initial blocks + the first settle inside this constructor.
+  // Runs `program` (non-null), which every simulator built from it shares;
+  // `step_budget` = 0 means unlimited and also covers initial blocks + the
+  // first settle inside this constructor.
+  explicit CompiledSimulator(std::shared_ptr<const Program> program,
+                             std::uint64_t step_budget = 0);
+  // Compile-and-run convenience for tests and benches.
   explicit CompiledSimulator(const ElabDesign& design, std::uint64_t step_budget = 0);
-  explicit CompiledSimulator(Program program, std::uint64_t step_budget = 0);
 
   // Power-up X, then the initial blocks and their NBA commit, with nothing
   // settled: the state the constructors above settle from. It passes no
   // fault-injection site. converged() is false when an initial block tripped
   // a loop guard.
-  static CompiledSimulator unsettled(Program program);
+  static CompiledSimulator unsettled(std::shared_ptr<const Program> program);
 
   void set_step_budget(std::uint64_t max_steps) { step_budget_ = max_steps; }
   std::uint64_t steps() const { return steps_; }
   std::uint64_t activations() const { return activations_; }
   bool converged() const { return converged_; }
-  const Program& program() const { return program_; }
 
   // Interned fast path.
   SignalHandle resolve(const std::string& name) const;  // throws ElabError
@@ -183,7 +186,7 @@ class CompiledSimulator {
 
  private:
   struct Unsettled {};
-  CompiledSimulator(Program program, Unsettled);
+  CompiledSimulator(std::shared_ptr<const Program> program, Unsettled);
   void power_up();
   void init();
   void bump_steps();
@@ -196,7 +199,7 @@ class CompiledSimulator {
   void exec(std::uint32_t pc, std::uint32_t end);
   void write_signal(std::uint32_t slot, int hi, int lo, const Value& v);
 
-  Program program_;
+  std::shared_ptr<const Program> program_;
   std::vector<Value> regs_;       // [0, nsignals) = signal state, then temps
   std::vector<Value> prev_edge_;  // last quiescent value of edge-watched slots
                                   // (indexed by slot; others stay power-up X)

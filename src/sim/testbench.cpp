@@ -40,11 +40,13 @@ bool outputs_match(const Value& golden, const Value& dut, std::string* why,
 // free of vtables on their hot paths.
 class AnySim {
  public:
-  AnySim(ElabDesign design, SimBackend backend, std::uint64_t step_budget) {
+  AnySim(const CompiledModule& m, SimBackend backend, std::uint64_t step_budget) {
     if (backend == SimBackend::kCompiled) {
-      comp_ = std::make_unique<CompiledSimulator>(design, step_budget);
+      comp_ = std::make_unique<CompiledSimulator>(m.program, step_budget);
     } else {
-      interp_ = std::make_unique<Simulator>(std::move(design), step_budget);
+      // The interpreter runs the elaborated design itself, which the build
+      // does not keep: it elaborates the module again.
+      interp_ = std::make_unique<Simulator>(elaborate(*m.module, m.file), step_budget);
     }
   }
   SignalHandle resolve(const std::string& name) const {
@@ -97,6 +99,12 @@ auto dut_side(const char* what, Fn&& fn) {
   }
 }
 
+// A compare is handed a builder for the label naming its vector or cycle,
+// and calls it only to word a failure: passing vectors format nothing.
+auto fixed_label(const char* text) {
+  return [text] { return std::string(text); };
+}
+
 }  // namespace
 
 DiffResult check_interface(const Module& dut, const Module& golden) {
@@ -138,11 +146,11 @@ std::optional<int> exhaustive_sweep_bits(const Module& golden, const StimulusSpe
   return bits;
 }
 
-DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
-                         const Module& golden_mod, const SourceFile* golden_file,
+DiffResult run_diff_test(const CompiledModule& dut, const CompiledModule& golden,
                          const StimulusSpec& spec, util::Rng& rng,
                          const util::Deadline* deadline) {
-  DiffResult iface = check_interface(dut_mod, golden_mod);
+  const Module& golden_mod = *golden.module;
+  DiffResult iface = check_interface(*dut.module, golden_mod);
   if (!iface.passed) return iface;
 
   // Watchdog: checked between vectors/cycles; sim::BudgetExceeded and
@@ -154,15 +162,22 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
 
   DiffResult result;
   try {
-    ElabDesign golden_design = elaborate(golden_mod, golden_file);
-    ElabDesign dut_design =
-        dut_side("dut elaboration failed: ", [&] { return elaborate(dut_mod, dut_file); });
-
-    AnySim golden(std::move(golden_design), spec.backend, spec.step_budget);
-    AnySim dut = dut_side("dut elaboration failed: ", [&] {
-      return AnySim(std::move(dut_design), spec.backend, spec.step_budget);
+    // A recorded build error surfaces where its stage runs: golden
+    // elaboration, DUT elaboration, then each side's simulator construction
+    // (compile included), golden first.
+    using Stage = CompiledModule::Stage;
+    const auto rethrow = [](const CompiledModule& m, Stage stage) {
+      if (m.failed == stage) throw ElabError(m.error);
+    };
+    rethrow(golden, Stage::kElaborate);
+    dut_side("dut elaboration failed: ", [&] { rethrow(dut, Stage::kElaborate); });
+    rethrow(golden, Stage::kCompile);
+    AnySim golden_sim(golden, spec.backend, spec.step_budget);
+    AnySim dut_sim = dut_side("dut elaboration failed: ", [&] {
+      rethrow(dut, Stage::kCompile);
+      return AnySim(dut, spec.backend, spec.step_budget);
     });
-    Harness h{std::move(golden), std::move(dut), {}, {}};
+    Harness h{std::move(golden_sim), std::move(dut_sim), {}, {}};
     auto resolve_pair = [&](const std::string& name, int width) {
       return PortPair{name, width, h.golden.resolve(name), h.dut.resolve(name)};
     };
@@ -184,9 +199,9 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
       dut_side("dut simulation failed: ", [&] { h.dut.poke(p.dut, v); });
     };
     // Strict comparison: DUT must match every golden-defined bit.
-    auto compare_outputs = [&](const char* when) -> bool {
+    auto compare_outputs = [&](const auto& label) -> bool {
       if (!h.dut.converged()) {
-        result.reason = util::format("dut failed to converge (%s)", when);
+        result.reason = util::format("dut failed to converge (%s)", label().c_str());
         return false;
       }
       if (!h.golden.converged()) {
@@ -196,7 +211,7 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
       for (const auto& out : h.outputs) {
         std::string why;
         if (!outputs_match(h.golden.peek(out.golden), h.dut.peek(out.dut), &why, out.name)) {
-          result.reason = util::format("%s: %s", when, why.c_str());
+          result.reason = util::format("%s: %s", label().c_str(), why.c_str());
           return false;
         }
       }
@@ -222,9 +237,9 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
             rest >>= in.width;
           }
           ++result.vectors;
-          if (!compare_outputs(util::format("vector %llu",
-                                            static_cast<unsigned long long>(vec))
-                                   .c_str())) {
+          if (!compare_outputs([vec] {
+                return util::format("vector %llu", static_cast<unsigned long long>(vec));
+              })) {
             return result;
           }
         }
@@ -233,7 +248,9 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
           check_deadline("random vector sweep");
           randomize_inputs();
           ++result.vectors;
-          if (!compare_outputs(util::format("random vector %d", v).c_str())) return result;
+          if (!compare_outputs([v] { return util::format("random vector %d", v); })) {
+            return result;
+          }
         }
       }
       result.passed = true;
@@ -250,9 +267,9 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
     // not a functional error (real testbenches only sample after reset), but
     // *defined* disagreement — an async golden already reset while the DUT
     // holds a defined stale value — is.
-    auto compare_defined_only = [&](const char* when) -> bool {
+    auto compare_defined_only = [&](const auto& label) -> bool {
       if (!h.dut.converged()) {
-        result.reason = util::format("dut failed to converge (%s)", when);
+        result.reason = util::format("dut failed to converge (%s)", label().c_str());
         return false;
       }
       for (const auto& out : h.outputs) {
@@ -261,7 +278,7 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
         if (!g.is_fully_defined() || !d.is_fully_defined()) continue;
         std::string why;
         if (!outputs_match(g, d, &why, out.name)) {
-          result.reason = util::format("%s: %s", when, why.c_str());
+          result.reason = util::format("%s: %s", label().c_str(), why.c_str());
           return false;
         }
       }
@@ -271,7 +288,7 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
     if (!spec.reset.empty()) {
       drive_both(reset_pair, reset_on);
       ++result.vectors;
-      if (!compare_defined_only("initial reset assertion")) return result;
+      if (!compare_defined_only(fixed_label("initial reset assertion"))) return result;
       for (int c = 0; c < 2; ++c) {
         drive_both(clock_pair, 0);
         drive_both(clock_pair, 1);
@@ -279,7 +296,7 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
       drive_both(clock_pair, 0);
       drive_both(reset_pair, reset_off);
       ++result.vectors;
-      if (!compare_outputs("after reset")) return result;
+      if (!compare_outputs(fixed_label("after reset"))) return result;
     }
 
     // Two mid-run reset pulses: comparing immediately after assertion (before
@@ -294,7 +311,7 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
       if (cycle == reassert_a || cycle == reassert_b) {
         drive_both(reset_pair, reset_on);
         ++result.vectors;
-        if (!compare_outputs("mid-test reset assertion")) return result;
+        if (!compare_outputs(fixed_label("mid-test reset assertion"))) return result;
       } else if ((cycle == reassert_a + 1 && reassert_a >= 0) ||
                  (cycle == reassert_b + 1 && reassert_b >= 0)) {
         drive_both(reset_pair, reset_off);
@@ -304,10 +321,12 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
       // Half-cycle comparison: a design hallucinated onto the wrong clock
       // edge updates here while the golden design does not.
       ++result.vectors;
-      if (!compare_outputs(util::format("cycle %d (half)", cycle).c_str())) return result;
+      if (!compare_outputs([cycle] { return util::format("cycle %d (half)", cycle); })) {
+        return result;
+      }
       drive_both(clock_pair, 1);
       ++result.vectors;
-      if (!compare_outputs(util::format("cycle %d", cycle).c_str())) return result;
+      if (!compare_outputs([cycle] { return util::format("cycle %d", cycle); })) return result;
     }
     result.passed = true;
     return result;
@@ -318,6 +337,13 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
     // Golden-side elaboration errors indicate a broken task definition.
     throw std::logic_error(std::string("golden elaboration failed: ") + e.what());
   }
+}
+
+DiffResult run_diff_test(const Module& dut, const SourceFile* dut_file, const Module& golden,
+                         const SourceFile* golden_file, const StimulusSpec& spec, util::Rng& rng,
+                         const util::Deadline* deadline) {
+  return run_diff_test(compile_module(dut, dut_file), compile_module(golden, golden_file), spec,
+                       rng, deadline);
 }
 
 DiffResult run_diff_test(const std::string& dut_source, const std::string& golden_source,

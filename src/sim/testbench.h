@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 
+#include "sim/compile.h"
 #include "sim/simulator.h"
 #include "util/retry.h"
 #include "util/rng.h"
@@ -59,14 +60,23 @@ struct DiffResult {
 // failure, with the same reason string, on either verdict path.
 DiffResult check_interface(const verilog::Module& dut, const verilog::Module& golden);
 
-// Compare candidate `dut` against `golden`. The respective SourceFiles
-// provide instance definitions (may be null). Any elaboration failure,
-// interface mismatch, non-convergence, or output divergence fails the test
-// with a human-readable reason.
+// Compare candidate `dut` against `golden`, both built once by
+// compile_module and only read here. An interface mismatch, a DUT build
+// error, non-convergence, or output divergence fails the test with a
+// human-readable reason; a golden build error throws std::logic_error
+// ("golden elaboration failed: ..."), since it means a broken task. Build
+// errors surface in the order the stages ran: golden elaboration, DUT
+// elaboration, then each side's simulator construction, compile included.
 //
 // `deadline`, when non-null and active, is checked between vectors/cycles
 // (watchdog granularity) and throws util::DeadlineExceeded — a harness
 // abort, deliberately distinct from a DUT verdict.
+DiffResult run_diff_test(const CompiledModule& dut, const CompiledModule& golden,
+                         const StimulusSpec& spec, util::Rng& rng,
+                         const util::Deadline* deadline = nullptr);
+
+// The same over parsed modules, which it builds first. The respective
+// SourceFiles provide instance definitions (may be null).
 DiffResult run_diff_test(const verilog::Module& dut, const verilog::SourceFile* dut_file,
                          const verilog::Module& golden, const verilog::SourceFile* golden_file,
                          const StimulusSpec& spec, util::Rng& rng,

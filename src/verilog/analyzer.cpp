@@ -7,22 +7,6 @@
 
 namespace haven::verilog {
 
-std::vector<Diagnostic> ModuleAnalysis::errors() const {
-  std::vector<Diagnostic> out;
-  for (const auto& d : diagnostics) {
-    if (d.severity == Severity::kError) out.push_back(d);
-  }
-  return out;
-}
-
-std::vector<Diagnostic> ModuleAnalysis::warnings() const {
-  std::vector<Diagnostic> out;
-  for (const auto& d : diagnostics) {
-    if (d.severity != Severity::kError) out.push_back(d);
-  }
-  return out;
-}
-
 std::string topic_name(Topic t) {
   switch (t) {
     case Topic::kFsm: return "fsm";
@@ -46,12 +30,10 @@ namespace {
 
 struct SymbolInfo {
   NetType type = NetType::kWire;
-  int width = 1;
   bool is_port = false;
   Dir dir = Dir::kInput;
   bool assigned_continuous = false;
   bool assigned_procedural = false;
-  bool read = false;
   int decl_line = 0;
 };
 
@@ -80,9 +62,6 @@ class ModuleChecker {
   void error(int line, const std::string& msg, const char* rule) {
     a_.diagnostics.push_back({msg, line, 0, Severity::kError, rule});
   }
-  void warn(int line, const std::string& msg, const char* rule) {
-    a_.diagnostics.push_back({msg, line, 0, Severity::kWarning, rule});
-  }
 
   void build_symbol_table() {
     for (const auto& p : m_.ports) {
@@ -94,7 +73,6 @@ class ModuleChecker {
       info.is_port = true;
       info.dir = p.dir;
       info.type = p.is_reg ? NetType::kReg : NetType::kWire;
-      info.width = p.width();
       info.decl_line = m_.line;
       symbols_[p.name] = info;
     }
@@ -107,7 +85,6 @@ class ModuleChecker {
             // non-ANSI style); redeclaring twice is an error.
             if (it->second.is_port) {
               it->second.type = d->type;
-              if (d->range) it->second.width = d->range->width();
               continue;
             }
             error(d->line, "duplicate declaration of '" + name + "'", "sema.duplicate");
@@ -115,7 +92,6 @@ class ModuleChecker {
           }
           SymbolInfo info;
           info.type = d->type;
-          info.width = d->type == NetType::kInteger ? 32 : (d->range ? d->range->width() : 1);
           info.decl_line = d->line;
           symbols_[name] = info;
         }
@@ -129,32 +105,13 @@ class ModuleChecker {
     }
   }
 
-  // `lvalue_base` suppresses the read-marking of the top-level identifier
-  // (an assignment target is written, not read; its index operands ARE read).
-  void check_expr(const ExprPtr& e, int line, bool lvalue_base = false) {
+  void check_expr(const ExprPtr& e, int line) {
     if (!e) return;
-    switch (e->kind) {
-      case ExprKind::kIdent:
-      case ExprKind::kBitSelect:
-      case ExprKind::kPartSelect: {
-        if (!symbols_.contains(e->ident)) {
-          error(line ? line : e->line, "use of undeclared identifier '" + e->ident + "'",
-                "sema.undeclared");
-        } else if (!lvalue_base && (symbols_[e->ident].read = true);
-                   e->kind == ExprKind::kPartSelect) {
-          const SymbolInfo& s = symbols_[e->ident];
-          const int hi = std::max(e->msb, e->lsb);
-          if (hi >= s.width && s.width > 1) {
-            warn(line ? line : e->line,
-                 util::format("part select [%d:%d] exceeds width %d of '%s'", e->msb, e->lsb,
-                              s.width, e->ident.c_str()),
-                 "sema.part-select-range");
-          }
-        }
-        break;
-      }
-      default:
-        break;
+    if ((e->kind == ExprKind::kIdent || e->kind == ExprKind::kBitSelect ||
+         e->kind == ExprKind::kPartSelect) &&
+        !symbols_.contains(e->ident)) {
+      error(line ? line : e->line, "use of undeclared identifier '" + e->ident + "'",
+            "sema.undeclared");
     }
     for (const auto& child : e->operands) check_expr(child, line ? line : e->line);
   }
@@ -197,7 +154,7 @@ class ModuleChecker {
     }
   }
 
-  void check_stmt(const StmtPtr& s, bool in_clocked, int depth = 0) {
+  void check_stmt(const StmtPtr& s, int depth = 0) {
     if (!s) return;
     if (depth > 256) {
       error(s->line, "statement nesting too deep", "sema.nesting");
@@ -205,56 +162,33 @@ class ModuleChecker {
     }
     switch (s->kind) {
       case StmtKind::kBlock:
-        for (const auto& child : s->stmts) check_stmt(child, in_clocked, depth + 1);
+        for (const auto& child : s->stmts) check_stmt(child, depth + 1);
         break;
       case StmtKind::kBlockingAssign:
-      case StmtKind::kNonblockingAssign: {
+      case StmtKind::kNonblockingAssign:
         note_assignment(s->lhs, /*continuous=*/false, s->line);
-        check_expr(s->lhs, s->line, /*lvalue_base=*/true);
+        check_expr(s->lhs, s->line);
         check_expr(s->rhs, s->line);
-        if (in_clocked && s->kind == StmtKind::kBlockingAssign) {
-          // Blocking assignment to a state-holding element in clocked logic
-          // is the classic convention violation (taxonomy: digital design
-          // convention misapplication).
-          if (s->lhs->kind == ExprKind::kIdent || s->lhs->kind == ExprKind::kBitSelect) {
-            warn(s->line, "blocking assignment in clocked always block ('" + s->lhs->ident + "')",
-                 "lint.blocking-in-seq");
-          }
-        }
-        if (!in_clocked && s->kind == StmtKind::kNonblockingAssign) {
-          warn(s->line, "nonblocking assignment in combinational always block",
-               "lint.nonblocking-in-comb");
-        }
         break;
-      }
       case StmtKind::kIf:
         check_expr(s->cond, s->line);
-        check_stmt(s->then_branch, in_clocked, depth + 1);
-        check_stmt(s->else_branch, in_clocked, depth + 1);
-        if (!in_clocked && !s->else_branch) a_.possible_latch = true;
+        check_stmt(s->then_branch, depth + 1);
+        check_stmt(s->else_branch, depth + 1);
         break;
-      case StmtKind::kCase: {
+      case StmtKind::kCase:
         check_expr(s->cond, s->line);
-        bool has_default = false;
         for (const auto& item : s->case_items) {
-          if (item.labels.empty()) has_default = true;
           for (const auto& l : item.labels) check_expr(l, s->line);
-          check_stmt(item.body, in_clocked, depth + 1);
-        }
-        if (!has_default) {
-          a_.has_case_without_default = true;
-          if (!in_clocked) a_.possible_latch = true;
-          warn(s->line, "case statement without default", "lint.case-default");
+          check_stmt(item.body, depth + 1);
         }
         break;
-      }
       case StmtKind::kFor:
         note_assignment(s->lhs, false, s->line);
         check_expr(s->rhs, s->line);
         check_expr(s->cond, s->line);
         note_assignment(s->step_lhs, false, s->line);
         check_expr(s->step_rhs, s->line);
-        check_stmt(s->body, in_clocked, depth + 1);
+        check_stmt(s->body, depth + 1);
         break;
     }
   }
@@ -262,9 +196,8 @@ class ModuleChecker {
   void check_items() {
     for (const auto& item : m_.items) {
       if (const auto* a = std::get_if<ContAssign>(&item)) {
-        ++a_.num_cont_assign;
         note_assignment(a->lhs, /*continuous=*/true, a->line);
-        check_expr(a->lhs, a->line, /*lvalue_base=*/true);
+        check_expr(a->lhs, a->line);
         check_expr(a->rhs, a->line);
       } else if (const auto* d = std::get_if<NetDecl>(&item)) {
         if (d->init) {
@@ -275,22 +208,17 @@ class ModuleChecker {
           }
         }
       } else if (const auto* ab = std::get_if<AlwaysBlock>(&item)) {
-        current_always_ = a_.num_always;
-        ++a_.num_always;
-        const bool clocked = !ab->star && std::any_of(ab->sens.begin(), ab->sens.end(),
-                                                      [](const SensItem& s) {
-                                                        return s.edge != Edge::kLevel;
-                                                      });
+        current_always_ = num_always_++;
         for (const auto& s : ab->sens) {
           if (!symbols_.contains(s.signal)) {
             error(ab->line, "sensitivity list references undeclared signal '" + s.signal + "'",
                   "sema.undeclared");
           }
         }
-        check_stmt(ab->body, clocked);
+        check_stmt(ab->body);
         current_always_ = -1;
       } else if (const auto* ib = std::get_if<InitialBlock>(&item)) {
-        check_stmt(ib->body, /*in_clocked=*/false);
+        check_stmt(ib->body);
       } else if (const auto* inst = std::get_if<Instance>(&item)) {
         check_instance(*inst);
       }
@@ -316,34 +244,10 @@ class ModuleChecker {
               "sema.multi-driven");
       }
     }
-    // Unused internal signals: declared, possibly driven, never read and not
-    // visible at the interface.
-    for (const auto& [name, info] : symbols_) {
-      if (name.starts_with("\x01param:") || info.is_port || info.read) continue;
-      warn(info.decl_line, "signal '" + name + "' is never read", "lint.unused");
-    }
-    // Undriven outputs.
-    for (const auto& p : m_.ports) {
-      if (p.dir != Dir::kOutput) continue;
-      const auto it = symbols_.find(p.name);
-      if (it != symbols_.end() && !it->second.assigned_continuous &&
-          !it->second.assigned_procedural && !driven_by_instance_.contains(p.name)) {
-        warn(m_.line, "output port '" + p.name + "' is never driven", "lint.undriven-output");
-      }
-    }
   }
 
   void check_instance(const Instance& inst) {
-    for (const auto& c : inst.connections) {
-      if (c.expr) {
-        check_expr(c.expr, inst.line);
-        // Track identifiers wired to instance outputs conservatively: any
-        // connected net counts as possibly driven.
-        std::vector<std::string> ids;
-        c.expr->collect_idents(ids);
-        for (const auto& id : ids) driven_by_instance_.insert(id);
-      }
-    }
+    for (const auto& c : inst.connections) check_expr(c.expr, inst.line);
     if (file_ != nullptr) {
       const Module* def = file_->find_module(inst.module_name);
       if (def != nullptr) {
@@ -559,8 +463,10 @@ class ModuleChecker {
 
     bool clocked = false;
     bool has_case = false;
+    bool has_cont_assign = false;
     bool counter_idiom = false, shift_idiom = false, toggle_idiom = false;
     for (const auto& item : m_.items) {
+      has_cont_assign = has_cont_assign || std::holds_alternative<ContAssign>(item);
       const auto* ab = std::get_if<AlwaysBlock>(&item);
       if (ab == nullptr) continue;
       const bool is_clocked = !ab->star && std::any_of(ab->sens.begin(), ab->sens.end(),
@@ -635,8 +541,7 @@ class ModuleChecker {
 
     if (topics.empty()) {
       if (clocked) {
-        topics.insert(a_.num_always > 0 && a_.num_cont_assign == 0 ? Topic::kRegister
-                                                                   : Topic::kSequential);
+        topics.insert(has_cont_assign ? Topic::kSequential : Topic::kRegister);
       } else {
         topics.insert(Topic::kCombinational);
       }
@@ -648,8 +553,8 @@ class ModuleChecker {
   ModuleAnalysis a_;
   std::map<std::string, SymbolInfo> symbols_;
   std::map<std::string, std::set<int>> always_writers_;
+  int num_always_ = 0;
   int current_always_ = -1;
-  std::set<std::string> driven_by_instance_;
 };
 
 }  // namespace

@@ -10,10 +10,10 @@
 //    errors and is the gate used by the dataset verification stage and by
 //    the benchmark's syntax-pass metric.
 //
-// Diagnostics are split into errors (would not compile / elaborate) and
-// warnings (lint: missing default, latch inference, blocking assignment in
-// sequential logic — exactly the digital-design-convention violations the
-// hallucination taxonomy tracks).
+// Every diagnostic here is an error (would not compile / elaborate). The
+// design-convention checks the hallucination taxonomy tracks (missing
+// default, latch inference, blocking assignment in sequential logic, ...)
+// are lint rules (lint/lint.h).
 #pragma once
 
 #include <set>
@@ -61,30 +61,13 @@ struct Attributes {
 
 struct ModuleAnalysis {
   std::string module_name;
-  // All findings in discovery order — semantic errors and lint warnings
-  // share the one Diagnostic struct (severity + rule id) instead of living
-  // in parallel vectors. Filter with errors()/warnings() below.
+  // Semantic errors in discovery order (severity + rule id per Diagnostic).
   std::vector<Diagnostic> diagnostics;
   std::set<Topic> topics;
   Attributes attributes;
 
-  // Structure statistics used by lints and by the dataset pipeline.
-  int num_always = 0;
-  int num_cont_assign = 0;
-  bool has_case_without_default = false;
-  bool possible_latch = false;
-
-  // Severity-filtered views (copies; diagnostics are small).
-  std::vector<Diagnostic> errors() const;
-  std::vector<Diagnostic> warnings() const;
-
-  // Unchanged compile-gate semantics: ok() iff no error-severity diagnostic.
-  bool ok() const {
-    for (const auto& d : diagnostics) {
-      if (d.severity == Severity::kError) return false;
-    }
-    return true;
-  }
+  // Every diagnostic is an error, so ok() iff there is none.
+  bool ok() const { return diagnostics.empty(); }
 };
 
 // Analyze a single parsed module. `file` provides sibling modules so that

@@ -169,22 +169,6 @@ const Port* Module::find_port(const std::string& port_name) const {
   return nullptr;
 }
 
-std::vector<std::string> Module::input_names() const {
-  std::vector<std::string> out;
-  for (const auto& p : ports) {
-    if (p.dir == Dir::kInput) out.push_back(p.name);
-  }
-  return out;
-}
-
-std::vector<std::string> Module::output_names() const {
-  std::vector<std::string> out;
-  for (const auto& p : ports) {
-    if (p.dir == Dir::kOutput) out.push_back(p.name);
-  }
-  return out;
-}
-
 const Module* SourceFile::find_module(const std::string& name) const {
   for (const auto& m : modules) {
     if (m.name == name) return &m;

@@ -204,8 +204,6 @@ struct Module {
   int line = 0;
 
   const Port* find_port(const std::string& name) const;
-  std::vector<std::string> input_names() const;
-  std::vector<std::string> output_names() const;
 };
 
 struct SourceFile {

@@ -185,6 +185,85 @@ TEST(EvalEngine, UnparsableGoldenFaultsOnlyItsOwnUnits) {
   }
 }
 
+// A golden that parses, with ports the candidates match, but that the
+// elaborator rejects: each compiled candidate of its task faults with the
+// golden's elaboration error, under every knob, and the other tasks keep
+// their tallies.
+TEST(EvalEngine, UnelaborableGoldenFaultsOnlyItsOwnUnits) {
+  const llm::SimLlm model = llm::make_model("GPT-4");
+  const Suite clean = small_rtllm(3);
+  Suite broken = clean;
+  std::string& golden = broken.tasks[1].golden_source;
+  golden.insert(golden.rfind("endmodule"), "  wire [99:0] big;\n");
+
+  enum class Knob { kDefault, kLint, kProve, kCache, kRepair };
+  auto run = [&](Knob knob, const Suite& suite) {
+    cache::ResultCache cache{cache::CacheConfig{}};
+    EvalRequest request = EvalRequest{}.with_samples(4).with_temperature(0.2);
+    if (knob == Knob::kLint) request.with_lint();
+    if (knob == Knob::kProve) request.with_prove();
+    if (knob == Knob::kCache) request.with_cache(&cache);
+    if (knob == Knob::kRepair) request.with_repair_rounds(2);
+    return EvalEngine(request).evaluate(model, suite);
+  };
+  for (Knob knob : {Knob::kDefault, Knob::kLint, Knob::kProve, Knob::kCache, Knob::kRepair}) {
+    SCOPED_TRACE(static_cast<int>(knob));
+    const SuiteResult want = run(knob, clean);
+    const SuiteResult got = run(knob, broken);
+    ASSERT_EQ(got.faults.size(), 4u);
+    for (const UnitFault& fault : got.faults) {
+      EXPECT_EQ(fault.task_id, broken.tasks[1].id);
+      EXPECT_EQ(fault.kind, FaultKind::kException);
+      EXPECT_EQ(fault.what, "golden elaboration failed: signal 'big' has unsupported width 100");
+    }
+    EXPECT_EQ(got.counters.unit_faults, 4);
+    EXPECT_EQ(got.per_task[1].syntax_pass, 0);
+    EXPECT_EQ(got.per_task[1].func_pass, 0);
+    for (std::size_t t : {std::size_t{0}, std::size_t{2}}) {
+      EXPECT_EQ(got.per_task[t].syntax_pass, want.per_task[t].syntax_pass);
+      EXPECT_EQ(got.per_task[t].func_pass, want.per_task[t].func_pass);
+    }
+    if (knob != Knob::kRepair) {
+      EXPECT_EQ(got.counters.compile_failures, want.counters.compile_failures);
+    }
+    EXPECT_TRUE(counters_consistent(got.counters)) << counters_inconsistency(got.counters);
+  }
+}
+
+// A candidate whose ports differ from the golden's fails before either
+// design is built, and counts under the stage that would have judged it: a
+// proof on a prove-eligible task, a simulation of no vectors otherwise.
+TEST(EvalEngine, PortMismatchCountsUnderTheDecidingStage) {
+  const llm::SimLlm model = llm::make_model("GPT-4");
+  // Three prove-eligible symbolic tasks and three RTLLM ones.
+  Suite suite = build_symbolic44();
+  suite.tasks.resize(3);
+  const Suite rtllm = small_rtllm(3);
+  suite.tasks.insert(suite.tasks.end(), rtllm.tasks.begin(), rtllm.tasks.end());
+  for (EvalTask& task : suite.tasks) {
+    std::string& golden = task.golden_source;
+    golden.insert(golden.find('(') + 1, "input wire spare_in, ");
+  }
+  for (const bool prove : {false, true}) {
+    SCOPED_TRACE(prove);
+    EvalRequest request = EvalRequest{}.with_samples(4).with_temperature(0.2);
+    if (prove) request.with_prove();
+    const EvalCounters c = EvalEngine(request).evaluate(model, suite).counters;
+    const std::int64_t compiled = c.candidates - c.compile_failures;
+    EXPECT_EQ(c.unit_faults, 0);
+    EXPECT_EQ(c.sim_mismatches, compiled);
+    EXPECT_EQ(c.sim_vectors, 0);
+    EXPECT_EQ(c.proven_equiv + c.prove_fallback, 0);
+    EXPECT_EQ(c.simulated + c.proven_inequiv, compiled);
+    if (prove) {
+      EXPECT_GT(c.proven_inequiv, 0);
+    } else {
+      EXPECT_EQ(c.proven_inequiv, 0);
+    }
+    EXPECT_TRUE(counters_consistent(c)) << counters_inconsistency(c);
+  }
+}
+
 TEST(EvalRequest, CotModelAccessorIsOptionalStyle) {
   EvalRequest request;
   EXPECT_FALSE(request.has_cot_model());

@@ -3,6 +3,7 @@
 // CodegenOptions fault knobs must produce *observably wrong* code.
 #include <gtest/gtest.h>
 
+#include "lint/lint.h"
 #include "llm/codegen.h"
 #include "sim/simulator.h"
 #include "sim/testbench.h"
@@ -320,12 +321,11 @@ TEST(CodegenFaults, BlockingInClockedBreaksEdgeDetector) {
   // the same instant -> the single-register design still works in many sims,
   // but differences are at least lint-visible.
   const std::string bad = generate_source(spec, faulty);
-  verilog::SourceAnalysis sa = verilog::analyze_source(bad);
-  ASSERT_FALSE(sa.modules.empty());
+  verilog::ParseOutput parsed = verilog::parse_source(bad);
+  ASSERT_TRUE(parsed.ok() && !parsed.file.modules.empty());
+  const lint::LintResult r = lint::lint_module(parsed.file.modules.front(), &parsed.file);
   bool warned = false;
-  for (const auto& w : sa.modules.front().warnings()) {
-    warned = warned || w.message.find("blocking") != std::string::npos;
-  }
+  for (const auto& f : r.findings) warned = warned || f.rule == lint::Rule::kBlockingInSeq;
   EXPECT_TRUE(warned);
 }
 

@@ -36,7 +36,7 @@ TEST(Robustness, RepeatedSyntaxCorruptionNeverCrashesFrontend) {
       // No expectations on the verdict — only that we got here alive with
       // coherent diagnostics.
       for (const auto& m : analysis.modules) {
-        for (const auto& e : m.errors()) EXPECT_FALSE(e.message.empty());
+        for (const auto& e : m.diagnostics) EXPECT_FALSE(e.message.empty());
       }
     }
   }

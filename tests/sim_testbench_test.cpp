@@ -339,5 +339,59 @@ TEST(Testbench, DutSideElabErrorsFailTheDut) {
   EXPECT_THROW(run_diff_test(golden, unknown_edge, spec, rng), std::logic_error);
 }
 
+// Every failure reason names the vector or cycle it was found at. Repair
+// hints and cached verdicts carry these strings, so each label kind is pinned
+// byte for byte.
+TEST(Testbench, MismatchReasonsNameTheVector) {
+  const auto reason = [](const std::string& dut, const std::string& golden,
+                         const StimulusSpec& spec) {
+    util::Rng rng(20);
+    const DiffResult r = run_diff_test(dut, golden, spec, rng);
+    EXPECT_FALSE(r.passed);
+    return r.reason;
+  };
+  const StimulusSpec comb;
+  EXPECT_EQ(reason("module m(input a, input b, output y); assign y = a | b; endmodule",
+                   kGoldenAnd, comb),
+            "vector 1: output 'y': golden=1'b0 dut=1'b1");
+  // Feedback through the mux oscillates once a = 1, at vector 1.
+  EXPECT_EQ(reason("module m(input a, input b, output y); assign y = a ? ~y : 1'b0; endmodule",
+                   kGoldenAnd, comb),
+            "dut failed to converge (vector 1)");
+  // 13 input bits exceed the exhaustive limit. (A constant assign reads no
+  // signal, never runs and stays X, so each side reads `a`.)
+  EXPECT_EQ(reason("module m(input [12:0] a, output y); assign y = a[0] | ~a[0]; endmodule",
+                   "module m(input [12:0] a, output y); assign y = a[0] & ~a[0]; endmodule",
+                   comb),
+            "random vector 0: output 'y': golden=1'b0 dut=1'b1");
+
+  StimulusSpec seq;
+  seq.sequential = true;
+  seq.reset = "rst";
+  const auto counter = [](const char* sens, const char* reset_value, const char* step) {
+    return std::string("module c(input clk, input rst, output reg [7:0] q);\n  always @(") +
+           sens + ")\n    if (rst) q <= " + reset_value + ";\n    else q <= " + step +
+           ";\nendmodule\n";
+  };
+  const std::string async_golden = counter("posedge clk or posedge rst", "8'd0", "q + 8'd1");
+  const std::string sync_golden = counter("posedge clk", "8'd0", "q + 8'd1");
+  // Resets to the wrong value: defined on both sides as soon as reset rises.
+  EXPECT_EQ(reason(counter("posedge clk or posedge rst", "8'd1", "q + 8'd1"), async_golden, seq),
+            "initial reset assertion: output 'q': golden=8'b00000000 dut=8'b00000001");
+  // A synchronous reset to the wrong value shows once clocked through reset.
+  EXPECT_EQ(reason(counter("posedge clk", "8'd1", "q + 8'd1"), sync_golden, seq),
+            "after reset: output 'q': golden=8'b00000000 dut=8'b00000001");
+  EXPECT_EQ(reason(counter("negedge clk or posedge rst", "8'd0", "q + 8'd1"), async_golden, seq),
+            "cycle 0: output 'q': golden=8'b00000001 dut=8'b00000000");
+  // Counting on both edges first diverges at a falling edge.
+  EXPECT_EQ(reason(counter("posedge clk or negedge clk or posedge rst", "8'd0", "q + 8'd1"),
+                   async_golden, seq),
+            "cycle 1 (half): output 'q': golden=8'b00000001 dut=8'b00000010");
+  // A synchronous reset agrees once clocked through reset, and diverges at
+  // the first mid-run assertion, before any clock edge (cycle 48 / 3 = 16).
+  EXPECT_EQ(reason(sync_golden, async_golden, seq),
+            "mid-test reset assertion: output 'q': golden=8'b00000000 dut=8'b00010000");
+}
+
 }  // namespace
 }  // namespace haven::sim
