@@ -13,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include "cache/result_cache.h"
 #include "cot/sicot.h"
@@ -174,15 +175,18 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Everything the units of one task share. The fields above `golden_once` are
-// filled before the fan-out and cost no parsing. The golden artefacts below
-// it are built by the first unit whose candidate compiles (build_golden), so
-// the dispatching thread does no serial golden work, and a task whose
-// candidates never need the golden (all cache hits, or none compiles) never
-// parses it. They are read-only from then on: every unit's lint, proofs and
-// simulators share them. The task's last unit to finish frees them again
-// (unit_done).
+// Everything the units of one task share. The fields above `prompt_once` are
+// filled before the fan-out and cost no parsing. The prepared prompt is built
+// by the first unit that generates, and the golden artefacts by the first
+// unit whose candidate compiles (build_golden), so the dispatching thread
+// does no serial parsing, and a task whose candidates never need the golden
+// (all cache hits, or none compiles) never parses it. Both are read-only from
+// then on: every unit's generation, lint, proofs and simulators share them.
+// The verdict memo is the one field workers write, under its mutex. The
+// task's last unit to finish frees all of it again (unit_done).
 struct TaskContext {
+  using VerdictMemo = std::unordered_map<std::string, CachedVerdict>;
+
   const EvalTask* task = nullptr;
   std::uint64_t rng_base = 0;  // per-task RNG base (DESIGN.md §5 "Work-unit layout")
   cache::Digest cache_seed;    // task identity + eval knobs (cache on only)
@@ -190,22 +194,56 @@ struct TaskContext {
   sim::StimulusSpec stimulus;
   std::atomic<std::size_t> units_left{0};  // this task's units not yet finished
 
+  std::once_flag prompt_once;
+  llm::PreparedPrompt prompt;  // the task's prompt, prepared once (SI-CoT off)
+
   std::once_flag golden_once;
   verilog::ParseOutput golden;     // the golden module, parsed once per task
   bool golden_ok = false;          // it parsed, with at least one module
   sim::CompiledModule compiled;    // its elaboration and Program (golden_ok only)
+  bool exhaustive = false;         // the testbench sweeps every input vector (golden_ok only)
   lint::ReferenceProfile profile;  // lint on and golden_ok only
   bool provable = false;           // prove on and the task is prove-eligible
 
+  std::mutex memo_mutex;
+  VerdictMemo memo;  // source -> verdict, for verdicts that read no stream
+
+  // The memo's one rule: a verdict reads no testbench stream when it was
+  // decided before simulation (compile failure, lint triage, proof) or by
+  // an exhaustive sweep that compared at least one vector. A 0-vector
+  // simulation is left out, since whether it crossed sim.run is not recorded.
+  bool reads_no_stream(const CachedVerdict& v) const {
+    if (!v.syntax_ok || v.triaged || v.proved) return true;
+    return exhaustive && v.sim_vectors > 0;
+  }
+
+  // Two units that miss on the same source both compute it; the first to
+  // remember it wins, and the verdicts are identical.
+  bool recall(const std::string& source, CachedVerdict* out) {
+    const std::lock_guard<std::mutex> lock(memo_mutex);
+    const auto it = memo.find(source);
+    if (it == memo.end()) return false;
+    *out = it->second;
+    return true;
+  }
+  void remember(const std::string& source, const CachedVerdict& v) {
+    if (!reads_no_stream(v)) return;
+    const std::lock_guard<std::mutex> lock(memo_mutex);
+    memo.try_emplace(source, v);
+  }
+
   // Called once per finished unit, on its worker. The last one frees the
-  // golden artefacts there, in parallel with other tasks' units. Left to
-  // ~TaskContext, every task's teardown would run serially on the
-  // dispatching thread after the fan-out, on the critical path of each job.
+  // prepared prompt, the golden artefacts and the memo there, in parallel
+  // with other tasks' units. Left to ~TaskContext, every task's teardown
+  // would run serially on the dispatching thread after the fan-out, on the
+  // critical path of each job.
   void unit_done() {
     if (units_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      prompt = llm::PreparedPrompt{};
       compiled = sim::CompiledModule{};
       golden = verilog::ParseOutput{};
       profile = lint::ReferenceProfile{};
+      memo = VerdictMemo{};
     }
   }
 };
@@ -223,6 +261,7 @@ void build_golden(TaskContext& ctx, const EvalRequest& request) {
   const verilog::Module& gm = ctx.golden.file.modules.front();
   const verilog::SourceFile* file = &ctx.golden.file;
   ctx.compiled = sim::compile_module(gm, file);
+  ctx.exhaustive = sim::exhaustive_sweep_bits(gm, ctx.stimulus).has_value();
 
   if (request.lint || request.lint_triage) {
     lint::ReferenceProfile& profile = ctx.profile;
@@ -231,7 +270,7 @@ void build_golden(TaskContext& ctx, const EvalRequest& request) {
     profile.clock = task.stimulus.clock;
     profile.reset = task.stimulus.reset;
     // Triage is sound only where the testbench itself sweeps every vector.
-    profile.exhaustive_comb = sim::exhaustive_sweep_bits(gm, task.stimulus).has_value();
+    profile.exhaustive_comb = ctx.exhaustive;
     profile.golden_elab_ok = ctx.compiled.failed != sim::CompiledModule::Stage::kElaborate;
     // Golden truth rows for the constant-output proof: only combinational
     // expression tasks carry an exact semantic function.
@@ -379,30 +418,38 @@ void check_candidate(const EvalRequest& request, TaskContext& ctx, std::string_v
   if (!diff.passed) v.fail_reason = diff.reason;
 }
 
-// The candidate pipeline: SI-CoT refine, generate, then the result cache or
-// check_candidate. The draw order against `rng` is part of the determinism
-// contract — do not reorder. Neither the deadline checks nor the injection
-// hook draw from `rng`, so enabling them never perturbs results. A non-null
-// `damping` routes generation through generate_with_hints (repair rounds);
-// round 0 passes null and takes the byte-identical generate() path.
+// The candidate pipeline: SI-CoT refine, generate, then the result cache,
+// the task's verdict memo or check_candidate. The draw order against `rng`
+// is part of the determinism contract — do not reorder. Neither the
+// deadline checks nor the injection hook draw from `rng`, so enabling them
+// never perturbs results. A non-null `damping` routes generation through
+// generate_with_hints (repair rounds); round 0 passes null and takes the
+// byte-identical generate() path.
 PassRecord run_candidate(const llm::SimLlm& model, const EvalRequest& request, TaskContext& ctx,
                          double temperature, util::Rng& rng, const util::Deadline& deadline,
                          const llm::AxisDamping* damping) {
   PassRecord pass;
   const Clock::time_point gen_start = Clock::now();
-  std::string prompt = ctx.task->prompt;
+  // The task's prompt is prepared once, by its first unit to generate. An
+  // SI-CoT prompt differs per sample, so it is prepared per candidate.
+  llm::PreparedPrompt refined_prompt;
+  const llm::PreparedPrompt* prompt = &ctx.prompt;
   if (request.use_sicot) {
     const llm::SimLlm* interpreter = request.has_cot_model() ? request.cot_model_ptr() : &model;
     cot::SiCotPipeline pipeline(interpreter);
-    cot::SiCotResult refined = pipeline.refine(prompt, temperature, rng);
-    prompt = std::move(refined.prompt);
+    cot::SiCotResult refined = pipeline.refine(ctx.task->prompt, temperature, rng);
     pass.refined = refined.transformed;
+    refined_prompt = llm::prepare_prompt(std::move(refined.prompt));
+    prompt = &refined_prompt;
+  } else {
+    std::call_once(ctx.prompt_once,
+                   [&ctx] { ctx.prompt = llm::prepare_prompt(ctx.task->prompt); });
   }
   llm::GenerationConfig gen;
   gen.temperature = temperature;
   const std::string source = damping != nullptr
-                                 ? model.generate_with_hints(prompt, gen, *damping, rng)
-                                 : model.generate(prompt, gen, rng);
+                                 ? model.generate_with_hints(*prompt, gen, *damping, rng)
+                                 : model.generate(*prompt, gen, rng);
   pass.generate_seconds = seconds_since(gen_start);
   deadline.check("generate");
 
@@ -427,7 +474,16 @@ PassRecord run_candidate(const llm::SimLlm& model, const EvalRequest& request, T
       }
     }
   }
-  check_candidate(request, ctx, source, tb_rng, deadline, pass);
+  // A repeated source replays its memoized verdict and bills no stage. The
+  // hit crosses the injection sites a fresh check crosses first, so exactly
+  // the same units fault.
+  if (ctx.recall(source, &pass.verdict)) {
+    util::maybe_inject(util::kSiteEvalCompile);
+    if (pass.verdict.simulated) util::maybe_inject(util::kSiteSimRun);
+  } else {
+    check_candidate(request, ctx, source, tb_rng, deadline, pass);
+    ctx.remember(source, pass.verdict);
+  }
   // Faults throw past this, so only completed passes are ever stored.
   if (cache != nullptr) {
     cache->insert(cache_key, encode_verdict(pass.verdict, request.repair.enabled()));

@@ -101,8 +101,10 @@ struct UnitFault {
 // fields are measured and vary run to run. Stage times are summed across
 // workers (CPU-style accounting): with N threads busy they can exceed
 // wall_seconds by up to a factor of N. A "pass" is one run of the candidate
-// pipeline: round 0 of a work unit or one of its repair rounds. How the
-// counters balance is stated once, at counters_consistent() below.
+// pipeline: round 0 of a work unit or one of its repair rounds. A pass that
+// replays a verdict from its task's memo (DESIGN.md §5) counts exactly as
+// the pass that computed it did. How the counters balance is stated once,
+// at counters_consistent() below.
 struct EvalCounters {
   std::int64_t candidates = 0;         // work units (= temps*tasks*n)
   std::int64_t compile_failures = 0;   // passes rejected by the compiler
@@ -136,11 +138,12 @@ struct EvalCounters {
   std::int64_t cache_misses = 0;     // passes that ran the pipeline (cache on)
   std::int64_t cache_evictions = 0;  // LRU evictions during this run
   std::int64_t cache_bytes = 0;      // resident payload bytes after the run
-  // Stage times. Each candidate is parsed once, under compile; the other
-  // stages include no parsing. Its one elaboration and compile
+  // Stage times. Each checked candidate is parsed once, under compile; the
+  // other stages include no parsing. Its one elaboration and compile
   // (sim::compile_module) is billed to prove on a prove-eligible task and to
   // sim otherwise. A task's one golden parse and build are billed to no
-  // stage.
+  // stage, its one prompt preparation to the preparing unit's generate, and
+  // a pass replayed from the task's verdict memo to no stage past generate.
   double generate_seconds = 0.0;  // SI-CoT refine + candidate generation
   double compile_seconds = 0.0;   // parse + semantic analysis of each candidate
   double lint_seconds = 0.0;      // lint rules on the parsed candidate (0 when lint is off)

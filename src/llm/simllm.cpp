@@ -36,6 +36,17 @@ bool looks_vanilla(const std::string& prompt) {
 
 }  // namespace
 
+PreparedPrompt prepare_prompt(std::string text) {
+  PreparedPrompt prompt;
+  prompt.parsed = parse_instruction(text);
+  prompt.text = std::move(text);
+  if (prompt.parsed.ok()) {
+    prompt.task_key = prompt.parsed.spec->fingerprint();
+    prompt.difficulty = prompt.parsed.spec->difficulty();
+  }
+  return prompt;
+}
+
 SimLlm::SimLlm(std::string name, HallucinationProfile profile, std::string family)
     : name_(std::move(name)),
       family_(family.empty() ? name_ : std::move(family)),
@@ -112,32 +123,45 @@ std::string SimLlm::fallback_module(const ParsedInstruction& parsed, const std::
   return guesses[rng.uniform_int(0, 2)];
 }
 
-std::string SimLlm::generate(const std::string& prompt, const GenerationConfig& config,
+std::string SimLlm::generate(const PreparedPrompt& prompt, const GenerationConfig& config,
                              util::Rng& rng) const {
   return generate_impl(prompt, config, nullptr, rng);
 }
 
-std::string SimLlm::generate_with_hints(const std::string& prompt,
+std::string SimLlm::generate(const std::string& prompt, const GenerationConfig& config,
+                             util::Rng& rng) const {
+  return generate(prepare_prompt(prompt), config, rng);
+}
+
+std::string SimLlm::generate_with_hints(const PreparedPrompt& prompt,
                                         const GenerationConfig& config,
                                         const AxisDamping& damping, util::Rng& rng) const {
   return generate_impl(prompt, config, &damping, rng);
 }
 
-std::string SimLlm::generate_impl(const std::string& prompt, const GenerationConfig& config,
-                                  const AxisDamping* damping, util::Rng& rng) const {
+std::string SimLlm::generate_with_hints(const std::string& prompt,
+                                        const GenerationConfig& config,
+                                        const AxisDamping& damping, util::Rng& rng) const {
+  return generate_with_hints(prepare_prompt(prompt), config, damping, rng);
+}
+
+std::string SimLlm::generate_impl(const PreparedPrompt& prepared,
+                                  const GenerationConfig& config, const AxisDamping* damping,
+                                  util::Rng& rng) const {
   // Chaos hook: a real inference backend fails here (timeout, OOM, truncated
   // response); the injected stand-in lets the eval harness prove it survives.
   util::maybe_inject(util::kSiteLlmGenerate);
   const double t = config.temperature;
 
-  ParsedInstruction parsed = parse_instruction(prompt);
+  const std::string& prompt = prepared.text;
+  const ParsedInstruction& parsed = prepared.parsed;
   if (!parsed.ok()) return fallback_module(parsed, prompt, rng);
 
   TaskSpec spec = *parsed.spec;
-  const double difficulty = spec.difficulty();
+  const double difficulty = prepared.difficulty;
   // Systematic draws key on the task semantics, not the prompt spelling:
   // SI-CoT re-phrasing changes the axis *probabilities*, not the coin.
-  const std::uint64_t task_key = spec.fingerprint();
+  const std::uint64_t task_key = prepared.task_key;
 
   // Repair damping multiplies into each axis's scale. With no damping (or
   // the identity) the multiplication is exact (scale * 1.0 == scale), so the

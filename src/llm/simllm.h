@@ -29,6 +29,22 @@ struct GenerationConfig {
   double temperature = 0.2;
 };
 
+// What generate() derives from the prompt text alone, on every call: the
+// parsed instruction, and for a prompt that parses the systematic-draw key
+// (TaskSpec::fingerprint) and difficulty. It depends on neither the model
+// nor the sampling state, so one preparation serves every sample of a task;
+// generate() only reads it, and copies the spec before damaging it.
+struct PreparedPrompt {
+  std::string text;
+  ParsedInstruction parsed;
+  std::uint64_t task_key = 0;  // parsed.spec->fingerprint() (parsed.ok() only)
+  double difficulty = 0.0;     // parsed.spec->difficulty() (parsed.ok() only)
+};
+
+// Never throws on any prompt text: an instruction outside the grammar,
+// numbers included, is a parse error recorded in `parsed`.
+PreparedPrompt prepare_prompt(std::string text);
+
 class SimLlm {
  public:
   // `family` identifies the base weights for systematic-draw seeding: a
@@ -42,7 +58,12 @@ class SimLlm {
   const HallucinationProfile& profile() const { return profile_; }
   void set_profile(const HallucinationProfile& p) { profile_ = p; }
 
-  // Generate one candidate Verilog module for the prompt.
+  // Generate one candidate Verilog module for the prompt. The string
+  // overloads prepare the prompt and call the prepared ones; a preparation
+  // reused across calls gives byte-identical output and draws from `rng`
+  // exactly as preparing afresh does.
+  std::string generate(const PreparedPrompt& prompt, const GenerationConfig& config,
+                       util::Rng& rng) const;
   std::string generate(const std::string& prompt, const GenerationConfig& config,
                        util::Rng& rng) const;
 
@@ -53,6 +74,8 @@ class SimLlm {
   // and a repair-disabled run cannot diverge. Models an LLM that actually
   // reads the feedback: axes named in the hint fire less often, scaled by
   // the policy's repair-efficacy factor.
+  std::string generate_with_hints(const PreparedPrompt& prompt, const GenerationConfig& config,
+                                  const AxisDamping& damping, util::Rng& rng) const;
   std::string generate_with_hints(const std::string& prompt, const GenerationConfig& config,
                                   const AxisDamping& damping, util::Rng& rng) const;
 
@@ -73,7 +96,7 @@ class SimLlm {
   std::uint64_t prompt_hash(const std::string& prompt) const;
 
  private:
-  std::string generate_impl(const std::string& prompt, const GenerationConfig& config,
+  std::string generate_impl(const PreparedPrompt& prepared, const GenerationConfig& config,
                             const AxisDamping* damping, util::Rng& rng) const;
   std::string fallback_module(const ParsedInstruction& parsed, const std::string& prompt,
                               util::Rng& rng) const;

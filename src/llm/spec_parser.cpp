@@ -16,13 +16,21 @@ namespace {
 
 using util::icontains;
 
+// A digit run as an int; -1 (absent) when it does not fit one, so an absurd
+// number in a prompt never throws.
+int digits_value(const std::string& digits) {
+  int n = -1;
+  util::parse_int(digits, &n);
+  return n;
+}
+
 // First occurrence of "<digits><suffix>" (e.g. "4-bit"); -1 if absent.
 int find_number_before(const std::string& text, const std::string& suffix) {
   std::size_t pos = 0;
   while ((pos = text.find(suffix, pos)) != std::string::npos) {
     std::size_t start = pos;
     while (start > 0 && std::isdigit(static_cast<unsigned char>(text[start - 1]))) --start;
-    if (start < pos) return std::stoi(text.substr(start, pos - start));
+    if (start < pos) return digits_value(text.substr(start, pos - start));
     ++pos;
   }
   return -1;
@@ -36,7 +44,7 @@ int find_number_after(const std::string& text, const std::string& marker) {
   while (p < text.size() && (text[p] == ' ' || text[p] == '\'')) ++p;
   std::string digits;
   while (p < text.size() && std::isdigit(static_cast<unsigned char>(text[p]))) digits += text[p++];
-  return digits.empty() ? -1 : std::stoi(digits);
+  return digits_value(digits);
 }
 
 SeqAttributes parse_seq_attributes(const std::string& lower) {

@@ -108,7 +108,14 @@ WaveformParseResult parse_waveform(const std::string& text) {
     if (!numeric) continue;
     if (util::starts_with(name, "time")) {
       saw_time = true;
-      for (const auto& v : values) times.push_back(std::stoi(v));
+      for (const auto& v : values) {
+        int t = 0;
+        if (!util::parse_int(v, &t)) {
+          result.error = "time value out of range";
+          return result;
+        }
+        times.push_back(t);
+      }
       continue;
     }
     if (!util::is_identifier(name)) continue;
@@ -217,7 +224,10 @@ WaveformParseResult parse_interpreted_waveform(const std::string& text) {
       while (p < clause.size() && std::isdigit(static_cast<unsigned char>(clause[p]))) {
         digits += clause[p++];
       }
-      if (!digits.empty()) t_ns = std::stoi(digits);
+      if (!digits.empty() && !util::parse_int(digits, &t_ns)) {
+        result.error = "time value out of range";
+        return result;
+      }
     }
     if (first_time < 0) first_time = t_ns;
     else if (second_time < 0) second_time = t_ns;

@@ -158,6 +158,8 @@ bool parse_whole(const std::string& s, T* out) {
 
 bool parse_i64(const std::string& s, long long* out) { return parse_whole(s, out); }
 
+bool parse_int(const std::string& s, int* out) { return parse_whole(s, out); }
+
 bool parse_u64(const std::string& s, std::uint64_t* out) { return parse_whole(s, out); }
 
 bool parse_f64(const std::string& s, double* out) { return parse_whole(s, out); }

@@ -48,8 +48,10 @@ std::size_t word_count(std::string_view s);
 // whitespace, no '+' and no out-of-range value, so "abc", "0x10", "5%",
 // " 5" (and "1e6" for the integer forms) fail instead of reading as zero or
 // as a prefix. parse_u64 takes no sign at all, so " -1" never wraps to
-// 2^64 - 1. On failure *out is left unchanged.
+// 2^64 - 1. parse_int is parse_i64 narrowed to int: a value outside int's
+// range fails too. On failure *out is left unchanged.
 bool parse_i64(const std::string& s, long long* out);
+bool parse_int(const std::string& s, int* out);
 bool parse_u64(const std::string& s, std::uint64_t* out);
 bool parse_f64(const std::string& s, double* out);
 

@@ -7,6 +7,7 @@
 #include "eval/engine.h"
 #include "eval/report.h"
 #include "eval/suites.h"
+#include "eval/task.h"
 #include "llm/model_zoo.h"
 #include "util/thread_pool.h"
 
@@ -261,6 +262,55 @@ TEST(EvalEngine, PortMismatchCountsUnderTheDecidingStage) {
       EXPECT_EQ(c.proven_inequiv, 0);
     }
     EXPECT_TRUE(counters_consistent(c)) << counters_inconsistency(c);
+  }
+}
+
+// A verdict that read the testbench stream is never replayed for a repeated
+// source. The perfect model emits one source for every sample, and each
+// golden below differs from it on one rare input pattern, so whether a
+// sample fails depends on whether its stream draws that pattern: some
+// samples must pass and some fail, on a random-vector task and on a
+// sequential one, at any thread count.
+TEST(EvalEngine, StreamDependentVerdictsAreNotShared) {
+  const llm::SimLlm model("perfect", llm::HallucinationProfile{}.scaled(0.0));
+  util::Rng rng(1);
+  llm::TaskSpec adder_spec;
+  adder_spec.kind = llm::TaskKind::kAdder;
+  adder_spec.width = 8;
+  llm::TaskSpec register_spec;
+  register_spec.kind = llm::TaskKind::kRegister;
+  register_spec.width = 8;
+  Suite suite;
+  suite.name = "rare-mismatch";
+  suite.tasks.push_back(make_task("adder8", adder_spec, llm::PromptStyle::kEngineer, rng));
+  suite.tasks.push_back(make_task("reg8", register_spec, llm::PromptStyle::kEngineer, rng));
+  auto replace = [](std::string& text, const std::string& from, const std::string& to) {
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, from.size(), to);
+  };
+  // 17 input bits: 192 random vectors, each a 1-in-256 chance to hit a = A5.
+  replace(suite.tasks[0].golden_source, "(({1'b0, a} + b) + cin)",
+          "(a == 8'hA5) ? 9'd0 : (({1'b0, a} + b) + cin)");
+  replace(suite.tasks[1].golden_source, "q <= d;", "q <= (d[6:0] == 7'h25) ? 8'd0 : d;");
+  ASSERT_FALSE(suite.tasks[0].stimulus.sequential);
+  ASSERT_TRUE(suite.tasks[1].stimulus.sequential);
+
+  constexpr int kSamples = 12;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const SuiteResult result =
+        EvalEngine(
+            EvalRequest{}.with_samples(kSamples).with_temperature(0.2).with_threads(threads))
+            .evaluate(model, suite);
+    for (const TaskResult& task : result.per_task) {
+      SCOPED_TRACE(task.task_id);
+      EXPECT_EQ(task.syntax_pass, kSamples);
+      EXPECT_GT(task.func_pass, 0);
+      EXPECT_LT(task.func_pass, kSamples);
+    }
+    EXPECT_TRUE(counters_consistent(result.counters))
+        << counters_inconsistency(result.counters);
   }
 }
 

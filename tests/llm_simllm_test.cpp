@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "eval/suites.h"
 #include "eval/task.h"
 #include "llm/codegen.h"
 #include "llm/instruction.h"
@@ -191,6 +195,46 @@ TEST(SimLlm, CorruptionsAreObservableInAggregate) {
   }
   EXPECT_EQ(seq_fails, 40);   // attribute axis always corrupts sequential logic
   EXPECT_EQ(comb_fails, 0);   // and never touches pure combinational tasks
+}
+
+// One preparation reused across samples must replay the string path
+// exactly: the same source, and `rng` left where the string overload leaves
+// it. A spec that generate() moved out of, or damaged inside, the shared
+// preparation would show as a diverging later sample.
+TEST(SimLlm, PreparedPromptReplaysTheStringPath) {
+  std::vector<std::string> prompts;
+  for (const eval::Suite& suite :
+       {eval::build_verilogeval_machine(), eval::build_verilogeval_human(),
+        eval::build_verilogeval_v2(), eval::build_rtllm()}) {
+    prompts.push_back(suite.tasks.front().prompt);
+  }
+  // Prompts that fail to parse, or carry only a header.
+  for (const char* text : {"", "???", "Question: Answer:",
+                           "Implement the truth table below.\n(garbled payload)\n0 0\n1\n",
+                           "module only_a_header(input a, output y);"}) {
+    prompts.emplace_back(text);
+  }
+  AxisDamping damping;
+  damping.set(HalluAxis::kLogicCorner, 0.25);
+  damping.set(HalluAxis::kKnowSyntax, 0.5);
+  damping.set(HalluAxis::kComprehension, 0.0);
+  GenerationConfig hot;
+  hot.temperature = 0.8;
+  for (const char* card : {"GPT-4", "CodeLlama", "RTLCoder-DeepSeek"}) {
+    const SimLlm model = make_model(card);
+    for (const std::string& text : prompts) {
+      const PreparedPrompt prepared = prepare_prompt(text);
+      for (std::uint64_t seed = 0; seed < 20; ++seed) {
+        SCOPED_TRACE(std::string(card) + " seed " + std::to_string(seed) + ": " + text);
+        util::Rng fresh(seed), reused(seed);
+        EXPECT_EQ(model.generate(prepared, hot, reused), model.generate(text, hot, fresh));
+        EXPECT_EQ(reused.next(), fresh.next());
+        EXPECT_EQ(model.generate_with_hints(prepared, hot, damping, reused),
+                  model.generate_with_hints(text, hot, damping, fresh));
+        EXPECT_EQ(reused.next(), fresh.next());
+      }
+    }
+  }
 }
 
 TEST(ModelZoo, AllCardsResolve) {

@@ -7,11 +7,15 @@
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "cot/sicot.h"
 #include "eval/engine.h"
 #include "eval/suites.h"
+#include "eval/task.h"
 #include "llm/hallucination.h"
 #include "llm/model_zoo.h"
 #include "llm/simllm.h"
@@ -82,6 +86,12 @@ TEST(Robustness, SimLlmNeverThrowsOnAnyZooModelOrPrompt) {
       "Design a 99-bit shift register shifting sideways.",
       "Question: Answer:",
       "module only_a_header(input a, output y);",
+      // Digit runs past int: they read as absent, never as an exception.
+      "Design a 99999999999-bit adder: sum = a + b + cin.",
+      "Design a clock divider that divides 'clk' by 99999999999.",
+      "Design a 4-bit up counter that wraps modulo-99999999999.",
+      "Implement the waveform below.\na: 0 1 0 1\nb: 0 0 1 1\nout: 0 1 1 0\n"
+      "time(ns): 0 99999999999 20 30\n",
   };
   llm::GenerationConfig config;
   for (const auto& card : llm::model_zoo()) {
@@ -94,6 +104,28 @@ TEST(Robustness, SimLlmNeverThrowsOnAnyZooModelOrPrompt) {
         EXPECT_FALSE(out.empty());
       }
     }
+  }
+}
+
+// SI-CoT parses symbolic payloads itself, before the model sees the prompt:
+// a waveform with an out-of-range time, raw or interpreted, is a payload it
+// cannot read, and the prompt passes through.
+TEST(Robustness, SiCotRefineNeverThrowsOnOutOfRangeTimes) {
+  const llm::SimLlm model = llm::make_model("GPT-4");
+  const cot::SiCotPipeline pipeline(&model);
+  const std::string raw =
+      "Implement the waveform below.\na: 0 1 0 1\nb: 0 0 1 1\nout: 0 1 1 0\n"
+      "time(ns): 0 99999999999 20 30\n";
+  const std::string interpreted =
+      "Implement the rules below.\nVariables: 1. a(input); 2. out(output)\n"
+      "Rules: When time is 0ns, a=0, out=1; When time is 99999999999ns, a=1, out=0; \n";
+  for (const std::string& prompt : {raw, interpreted}) {
+    util::Rng rng(5);
+    cot::SiCotResult refined;
+    ASSERT_NO_THROW(refined = pipeline.refine(prompt, 0.2, rng)) << prompt;
+    EXPECT_FALSE(refined.transformed) << refined.prompt;
+    EXPECT_EQ(refined.prompt, prompt);
+    EXPECT_FALSE(llm::parse_instruction(prompt).ok());
   }
 }
 
@@ -372,6 +404,47 @@ TEST(FaultTolerance, FailFastOnSharedPoolDrainsBeforeUnwinding) {
   injector.uninstall();
   // ...and the pool stays usable for unrelated work.
   EXPECT_EQ(pool.submit([] { return 41 + 1; }).get(), 42);
+}
+
+// The perfect model emits one source for every sample, and a 4-bit adder
+// (9 input bits) is swept exhaustively, so every sample after the first
+// clean one repeats a verdict that reads no testbench stream. A repeat must
+// still cross each injection site a fresh check crosses: faults land on the
+// same units whether or not an earlier unit already judged the source.
+TEST(FaultTolerance, RepeatedCandidatesCrossEveryInjectionSite) {
+  llm::TaskSpec spec;
+  spec.kind = llm::TaskKind::kAdder;
+  spec.width = 4;
+  util::Rng task_rng(1);
+  eval::Suite suite;
+  suite.name = "adder4";
+  suite.tasks.push_back(eval::make_task("adder4", spec, llm::PromptStyle::kEngineer, task_rng));
+  ASSERT_FALSE(suite.tasks[0].stimulus.sequential);
+  constexpr int kSamples = 16;
+  const eval::EvalRequest request = eval::EvalRequest{}
+                                        .with_samples(kSamples)
+                                        .with_temperature(0.2)
+                                        .with_threads(1)
+                                        .with_retries(0);
+  for (const std::string_view site : {util::kSiteEvalCompile, util::kSiteSimRun}) {
+    SCOPED_TRACE(site);
+    util::FaultInjector injector(0xC405);
+    injector.arm(site, 0.5);
+    injector.install();
+    const eval::SuiteResult result = eval::EvalEngine(request).evaluate(perfect_model(), suite);
+    injector.uninstall();
+
+    std::string pattern(kSamples, '.');
+    for (const eval::UnitFault& fault : result.faults) {
+      EXPECT_EQ(fault.kind, eval::FaultKind::kInjected);
+      pattern[static_cast<std::size_t>(fault.sample)] = 'F';
+    }
+    const std::size_t first_clean = pattern.find('.');
+    ASSERT_NE(first_clean, std::string::npos) << pattern;
+    EXPECT_NE(pattern.find('F', first_clean), std::string::npos) << pattern;
+    EXPECT_EQ(injector.total_injected(), result.counters.unit_faults);
+    EXPECT_EQ(result.per_task[0].func_pass, kSamples - result.counters.unit_faults);
+  }
 }
 
 }  // namespace
