@@ -92,9 +92,10 @@ void stmt_read_idents(const StmtPtr& s, std::set<std::string>& out) {
 }
 
 // Rewrite every identifier reference in an expression with a prefix (for
-// hierarchy flattening).
+// hierarchy flattening). The top module's prefix is empty: its nodes are
+// shared as they are, immutable, and the design keeps them alive.
 ExprPtr prefix_expr(const ExprPtr& e, const std::string& prefix) {
-  if (!e) return e;
+  if (!e || prefix.empty()) return e;
   auto copy = std::make_shared<Expr>(*e);
   if (e->kind == ExprKind::kIdent || e->kind == ExprKind::kBitSelect ||
       e->kind == ExprKind::kPartSelect) {
@@ -106,7 +107,7 @@ ExprPtr prefix_expr(const ExprPtr& e, const std::string& prefix) {
 }
 
 StmtPtr prefix_stmt(const StmtPtr& s, const std::string& prefix) {
-  if (!s) return s;
+  if (!s || prefix.empty()) return s;
   auto copy = std::make_shared<Stmt>(*s);
   copy->lhs = prefix_expr(s->lhs, prefix);
   copy->rhs = prefix_expr(s->rhs, prefix);

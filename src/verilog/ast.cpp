@@ -178,10 +178,10 @@ const Module* SourceFile::find_module(const std::string& name) const {
 
 // --- Literal parsing ----------------------------------------------------------
 
-std::optional<Number> parse_number_literal(const std::string& text) {
+std::optional<Number> parse_number_literal(std::string_view text) {
   Number n;
   const std::size_t tick = text.find('\'');
-  if (tick == std::string::npos) {
+  if (tick == std::string_view::npos) {
     // Plain decimal.
     if (text.empty()) return std::nullopt;
     std::uint64_t v = 0;

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -214,6 +215,6 @@ struct SourceFile {
 
 // Parse the canonical spelling of a numeric literal token (e.g. "4'b1_0x0",
 // "8'hff", "13"). Returns nullopt for malformed literals.
-std::optional<Number> parse_number_literal(const std::string& text);
+std::optional<Number> parse_number_literal(std::string_view text);
 
 }  // namespace haven::verilog

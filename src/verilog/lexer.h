@@ -5,7 +5,6 @@
 // "hallucinating" model must be lexable enough to reject gracefully).
 #pragma once
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -20,17 +19,18 @@ class Lexer {
   // Next token; returns kEof forever once exhausted.
   Token next();
 
-  // Lex everything (excluding the final kEof).
+  // Lex everything (excluding the final kEof). The tokens' text views
+  // `source`, so the caller keeps the source alive while it reads them.
   static std::vector<Token> tokenize(std::string_view source);
 
  private:
   char peek(std::size_t ahead = 0) const;
   char advance();
+  std::string_view take(std::size_t end);
   bool at_end() const { return pos_ >= src_.size(); }
-  void skip_ws_and_comments(std::vector<std::string>* errors);
-  Token make(TokenKind kind, std::string text, int line, int col) const;
+  void skip_ws_and_comments();
 
-  std::string src_;
+  std::string_view src_;
   std::size_t pos_ = 0;
   int line_ = 1;
   int column_ = 1;

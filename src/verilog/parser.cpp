@@ -1,7 +1,10 @@
 #include "verilog/parser.h"
 
+#include <functional>
 #include <map>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "util/strings.h"
 #include "verilog/lexer.h"
@@ -72,8 +75,8 @@ class Parser {
   static std::string describe(const Token& t) {
     switch (t.kind) {
       case TokenKind::kEof: return "<eof>";
-      case TokenKind::kError: return "<lex error: " + t.text + ">";
-      default: return t.text;
+      case TokenKind::kError: return "<lex error: " + std::string(t.text) + ">";
+      default: return std::string(t.text);
     }
   }
   void diag(const std::string& msg) {
@@ -82,17 +85,17 @@ class Parser {
   [[noreturn]] void fail(const std::string& msg) {
     throw ParseError(util::format("%d:%d: %s", peek().line, peek().column, msg.c_str()));
   }
-  void expect_punct(const char* p) {
-    if (!peek().is_punct(p)) fail(std::string("expected '") + p + "', found '" + describe(peek()) + "'");
+  void expect_punct(std::string_view p) {
+    if (!peek().is_punct(p)) fail("expected '" + std::string(p) + "', found '" + describe(peek()) + "'");
     advance();
   }
-  void expect_keyword(const char* kw) {
-    if (!peek().is_keyword(kw)) fail(std::string("expected '") + kw + "', found '" + describe(peek()) + "'");
+  void expect_keyword(std::string_view kw) {
+    if (!peek().is_keyword(kw)) fail("expected '" + std::string(kw) + "', found '" + describe(peek()) + "'");
     advance();
   }
   std::string expect_identifier(const char* what) {
     if (!peek().is(TokenKind::kIdentifier)) fail(std::string("expected ") + what + ", found '" + describe(peek()) + "'");
-    return advance().text;
+    return std::string(advance().text);
   }
   void skip_to_next_module() {
     while (!at_end() && !peek().is_keyword("module")) advance();
@@ -211,7 +214,7 @@ class Parser {
     std::optional<Range> range;
     while (true) {
       if (peek().is_keyword("input") || peek().is_keyword("output") || peek().is_keyword("inout")) {
-        const std::string kw = advance().text;
+        const std::string_view kw = advance().text;
         dir = kw == "input" ? Dir::kInput : (kw == "output" ? Dir::kOutput : Dir::kInout);
         is_reg = false;
         range.reset();
@@ -253,7 +256,7 @@ class Parser {
 
   void parse_module_item(Module& m, bool ansi, const std::vector<std::string>& nonansi_names) {
     const Token& t = peek();
-    if (t.is(TokenKind::kError)) fail("lexical error: " + t.text);
+    if (t.is(TokenKind::kError)) fail("lexical error: " + std::string(t.text));
 
     if (t.is_keyword("input") || t.is_keyword("output") || t.is_keyword("inout")) {
       if (ansi) fail("port direction declaration in ANSI-style module body");
@@ -318,7 +321,7 @@ class Parser {
   }
 
   void parse_nonansi_port_decl(Module& m, const std::vector<std::string>& names) {
-    const std::string kw = advance().text;
+    const std::string_view kw = advance().text;
     const Dir dir = kw == "input" ? Dir::kInput : (kw == "output" ? Dir::kOutput : Dir::kInout);
     bool is_reg = false;
     if (peek().is_keyword("wire")) advance();
@@ -347,7 +350,7 @@ class Parser {
   NetDecl parse_net_decl() {
     NetDecl d;
     d.line = peek().line;
-    const std::string kw = advance().text;
+    const std::string_view kw = advance().text;
     d.type = kw == "wire" ? NetType::kWire : (kw == "reg" ? NetType::kReg : NetType::kInteger);
     if (peek().is_keyword("signed")) advance();
     if (d.type != NetType::kInteger && peek().is_punct("[")) d.range = parse_range();
@@ -431,7 +434,7 @@ class Parser {
   StmtPtr parse_statement() {
     const Token& t = peek();
     const int line = t.line;
-    if (t.is(TokenKind::kError)) fail("lexical error: " + t.text);
+    if (t.is(TokenKind::kError)) fail("lexical error: " + std::string(t.text));
 
     if (t.is_keyword("begin")) {
       advance();
@@ -553,7 +556,7 @@ class Parser {
       expect_punct("}");
       return Expr::make_concat(std::move(parts), line);
     }
-    const std::string name = expect_identifier("lvalue");
+    std::string name = expect_identifier("lvalue");
     if (peek().is_punct("[")) {
       advance();
       ExprPtr first = parse_expression();
@@ -562,12 +565,12 @@ class Parser {
         const int msb = static_cast<int>(const_eval(first));
         const int lsb = static_cast<int>(const_eval(parse_expression()));
         expect_punct("]");
-        return Expr::make_part_select(name, msb, lsb, line);
+        return Expr::make_part_select(std::move(name), msb, lsb, line);
       }
       expect_punct("]");
-      return Expr::make_bit_select(name, std::move(first), line);
+      return Expr::make_bit_select(std::move(name), std::move(first), line);
     }
-    return Expr::make_ident(name, line);
+    return Expr::make_ident(std::move(name), line);
   }
 
   // --- expressions (precedence climbing) ---
@@ -587,7 +590,7 @@ class Parser {
   }
 
   // Binary precedence levels, lowest first.
-  static int binary_level(const std::string& op) {
+  static int binary_level(std::string_view op) {
     if (op == "||") return 1;
     if (op == "&&") return 2;
     if (op == "|" || op == "~|") return 3;
@@ -605,13 +608,13 @@ class Parser {
   ExprPtr parse_binary(int min_level) {
     ExprPtr lhs = parse_unary();
     while (peek().is(TokenKind::kPunct)) {
-      const std::string op = peek().text;
+      const std::string_view op = peek().text;
       const int level = binary_level(op);
       if (level < 0 || level < min_level) break;
       const int line = peek().line;
       advance();
       ExprPtr rhs = parse_binary(level + 1);
-      lhs = Expr::make_binary(op, std::move(lhs), std::move(rhs), line);
+      lhs = Expr::make_binary(std::string(op), std::move(lhs), std::move(rhs), line);
     }
     return lhs;
   }
@@ -619,14 +622,14 @@ class Parser {
   ExprPtr parse_unary() {
     const Token& t = peek();
     if (t.is(TokenKind::kPunct)) {
-      const std::string& op = t.text;
+      const std::string_view op = t.text;
       if (op == "~" || op == "!" || op == "-" || op == "+" || op == "&" || op == "|" ||
           op == "^" || op == "~&" || op == "~|" || op == "~^" || op == "^~") {
         const int line = t.line;
         advance();
         ExprPtr inner = parse_unary();
         if (op == "+") return inner;  // unary plus is a no-op
-        return Expr::make_unary(op, std::move(inner), line);
+        return Expr::make_unary(std::string(op), std::move(inner), line);
       }
     }
     return parse_primary();
@@ -635,16 +638,16 @@ class Parser {
   ExprPtr parse_primary() {
     const Token& t = peek();
     const int line = t.line;
-    if (t.is(TokenKind::kError)) fail("lexical error: " + t.text);
+    if (t.is(TokenKind::kError)) fail("lexical error: " + std::string(t.text));
 
     if (t.is(TokenKind::kNumber)) {
       const auto n = parse_number_literal(t.text);
-      if (!n) fail("malformed number literal '" + t.text + "'");
+      if (!n) fail("malformed number literal '" + std::string(t.text) + "'");
       advance();
       return Expr::make_number(*n, line);
     }
     if (t.is(TokenKind::kIdentifier)) {
-      const std::string name = advance().text;
+      const std::string_view name = advance().text;
       if (peek().is_punct("[")) {
         advance();
         ExprPtr first = parse_expression();
@@ -653,13 +656,13 @@ class Parser {
           const int msb = static_cast<int>(const_eval(first));
           const int lsb = static_cast<int>(const_eval(parse_expression()));
           expect_punct("]");
-          return Expr::make_part_select(name, msb, lsb, line);
+          return Expr::make_part_select(std::string(name), msb, lsb, line);
         }
         if (peek().is_punct("+:") || peek().is_punct("-:")) {
           fail("indexed part selects (+:/-:) are not supported");
         }
         expect_punct("]");
-        return Expr::make_bit_select(name, std::move(first), line);
+        return Expr::make_bit_select(std::string(name), std::move(first), line);
       }
       // Resolve module parameters to their constant values at parse time so
       // that the simulator never sees free identifiers for parameters.
@@ -667,7 +670,7 @@ class Parser {
       if (it != param_values_.end()) {
         return Expr::make_number(static_cast<std::uint64_t>(it->second), 32, false);
       }
-      return Expr::make_ident(name, line);
+      return Expr::make_ident(std::string(name), line);
     }
     if (t.is_punct("(")) {
       advance();
@@ -710,7 +713,7 @@ class Parser {
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
   std::vector<Diagnostic> diags_;
-  std::map<std::string, std::int64_t> param_values_;
+  std::map<std::string, std::int64_t, std::less<>> param_values_;
 };
 
 }  // namespace

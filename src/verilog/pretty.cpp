@@ -176,13 +176,13 @@ std::string print_module(const Module& m) {
         out += ")";
       }
       out += "\n";
-      out += util::indent(print_stmt(*ab.body, 0), 2);
+      out += print_stmt(*ab.body, 1);
       continue;
     }
     if (std::holds_alternative<InitialBlock>(item)) {
       const auto& ib = std::get<InitialBlock>(item);
       out += "  initial\n";
-      out += util::indent(print_stmt(*ib.body, 0), 2);
+      out += print_stmt(*ib.body, 1);
       continue;
     }
     if (std::holds_alternative<Instance>(item)) {

@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace haven::verilog {
 
@@ -21,16 +21,18 @@ enum class TokenKind : std::uint8_t {
 
 struct Token {
   TokenKind kind = TokenKind::kEof;
-  std::string text;   // exact source spelling (or error message for kError)
+  // The exact source spelling, viewing the source the token was lexed from
+  // (see Lexer::tokenize); for kError, a message in static storage.
+  std::string_view text;
   int line = 1;       // 1-based
   int column = 1;     // 1-based
 
   bool is(TokenKind k) const { return kind == k; }
-  bool is_keyword(const char* kw) const { return kind == TokenKind::kKeyword && text == kw; }
-  bool is_punct(const char* p) const { return kind == TokenKind::kPunct && text == p; }
+  bool is_keyword(std::string_view kw) const { return kind == TokenKind::kKeyword && text == kw; }
+  bool is_punct(std::string_view p) const { return kind == TokenKind::kPunct && text == p; }
 };
 
 // True if `word` is a reserved word of the supported subset.
-bool is_verilog_keyword(const std::string& word);
+bool is_verilog_keyword(std::string_view word);
 
 }  // namespace haven::verilog

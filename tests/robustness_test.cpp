@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "cache/hash.h"
 #include "cot/sicot.h"
 #include "eval/engine.h"
 #include "eval/suites.h"
@@ -23,7 +24,9 @@
 #include "util/fault.h"
 #include "util/thread_pool.h"
 #include "verilog/analyzer.h"
+#include "verilog/lexer.h"
 #include "verilog/parser.h"
+#include "verilog/pretty.h"
 
 namespace haven {
 namespace {
@@ -74,6 +77,74 @@ TEST(Robustness, ParserHandlesAdversarialSnippets) {
       EXPECT_FALSE(out.diagnostics.empty()) << snippet;
     }
   }
+}
+
+// The frontend's every observable output, pinned over a fixed corpus: each
+// token (kind, text, line, column), the parse and analyzer diagnostics, and
+// the printed form of every parsed module. The corpus is the golden of every
+// task of the four suites, three zoo cards' candidates for each task (their
+// text is itself printed by print_module), and byte-mutated copies of each
+// that stress the lexer's punctuation, literal and error paths. A change to
+// the lexer, parser, analyzer or pretty printer that moves any byte of
+// their output moves the digest.
+TEST(Robustness, FrontendOutputsArePinned) {
+  std::vector<std::string> corpus;
+  const llm::GenerationConfig config{.temperature = 0.8};
+  const char* cards[] = {"GPT-4", "CodeLlama", "RTLCoder-Mistral"};
+  for (const eval::Suite& suite :
+       {eval::build_verilogeval_machine(), eval::build_verilogeval_human(),
+        eval::build_verilogeval_v2(), eval::build_rtllm()}) {
+    for (const eval::EvalTask& task : suite.tasks) corpus.push_back(task.golden_source);
+    for (std::size_t c = 0; c < std::size(cards); ++c) {
+      const llm::SimLlm model = llm::make_model(cards[c]);
+      util::Rng rng(0x5eed + c);
+      for (const eval::EvalTask& task : suite.tasks) {
+        corpus.push_back(model.generate(task.prompt, config, rng));
+      }
+    }
+  }
+  // Two mutated copies of each, with 1-4 insertions or replacements of bytes
+  // the lexer treats specially, drawn by a fixed LCG.
+  static constexpr char kBytes[] = "+-*/%=?:;,.()[]{}#@&|^~!<>'\"\\`$\n\v\x01\x80";
+  const std::string_view alphabet(kBytes, sizeof kBytes);  // keeps the trailing NUL
+  std::uint64_t lcg = 0x243f6a8885a308d3ULL;
+  const auto draw = [&lcg](std::uint64_t bound) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::size_t>((lcg >> 33) % bound);
+  };
+  const std::size_t originals = corpus.size();
+  for (std::size_t i = 0; i < 2 * originals; ++i) {
+    std::string mutated = corpus[i % originals];
+    for (std::size_t edits = 1 + draw(4); edits > 0; --edits) {
+      const std::size_t at = draw(mutated.size() + 1);
+      const char byte = alphabet[draw(alphabet.size())];
+      if (draw(2) == 0 || at == mutated.size()) {
+        mutated.insert(at, 1, byte);
+      } else {
+        mutated[at] = byte;
+      }
+    }
+    corpus.push_back(std::move(mutated));
+  }
+
+  cache::Hasher h;
+  for (const std::string& source : corpus) {
+    h.bytes(source);
+    for (const verilog::Token& t : verilog::Lexer::tokenize(source)) {
+      h.u32(static_cast<std::uint32_t>(t.kind)).bytes(std::string(t.text));
+      h.i32(t.line).i32(t.column);
+    }
+    const verilog::ParseOutput parsed = verilog::parse_source(source);
+    for (const verilog::Diagnostic& d : parsed.diagnostics) h.bytes(d.to_string());
+    for (const verilog::Module& m : parsed.file.modules) h.bytes(verilog::print_module(m));
+    const verilog::SourceAnalysis analysis = verilog::analyze_source(source);
+    for (const verilog::ModuleAnalysis& m : analysis.modules) {
+      h.bytes(m.module_name);
+      for (const verilog::Diagnostic& d : m.diagnostics) h.bytes(d.to_string());
+    }
+  }
+  EXPECT_EQ(corpus.size(), 5808u);
+  EXPECT_EQ(cache::to_hex(h.digest()), "6c9ac019333d6724a955e9cda5647d15");
 }
 
 TEST(Robustness, SimLlmNeverThrowsOnAnyZooModelOrPrompt) {

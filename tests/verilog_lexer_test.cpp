@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "verilog/ast.h"
 #include "verilog/lexer.h"
 
 namespace haven::verilog {
 namespace {
 
-std::vector<Token> lex(const std::string& s) { return Lexer::tokenize(s); }
+std::vector<Token> lex(std::string_view s) { return Lexer::tokenize(s); }
 
 TEST(Lexer, KeywordsAndIdentifiers) {
   const auto toks = lex("module foo_1 endmodule");
@@ -90,6 +96,140 @@ TEST(Lexer, DollarInIdentifierBody) {
   const auto toks = lex("sig$1");
   ASSERT_EQ(toks.size(), 1u);
   EXPECT_EQ(toks[0].text, "sig$1");
+}
+
+TEST(Lexer, EveryKeywordIsReserved) {
+  for (const char* kw :
+       {"module", "endmodule", "input", "output", "inout", "wire", "reg", "assign", "always",
+        "initial", "begin", "end", "if", "else", "case", "casez", "casex", "endcase", "default",
+        "posedge", "negedge", "or", "and", "not", "nand", "nor", "xor", "xnor", "buf",
+        "parameter", "localparam", "integer", "genvar", "generate", "endgenerate", "for",
+        "while", "function", "endfunction", "task", "endtask", "signed", "wait", "forever",
+        "repeat"}) {
+    EXPECT_TRUE(is_verilog_keyword(kw)) << kw;
+    const auto toks = lex(kw);
+    ASSERT_EQ(toks.size(), 1u) << kw;
+    EXPECT_TRUE(toks[0].is_keyword(kw)) << kw;
+  }
+  for (const char* word : {"", "i", "f", "o", "en", "ifx", "Module", "modules", "endmodul",
+                           "wire_", "reg$", "e", "endgeneratex", "localparams"}) {
+    EXPECT_FALSE(is_verilog_keyword(word)) << word;
+  }
+}
+
+TEST(Lexer, LongestMatchForEveryOperator) {
+  // Alone, every operator is one token spelled as written.
+  for (const char* op : {"<<<", ">>>", "===", "!==", "<=", ">=", "==", "!=", "&&", "||", "<<",
+                         ">>", "~&", "~|", "~^", "^~", "**", "+:", "-:", "+", "-", "*", "/",
+                         "%", "=", "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}", "#",
+                         "@", "&", "|", "^", "~", "!", "<", ">"}) {
+    const auto toks = lex(op);
+    ASSERT_EQ(toks.size(), 1u) << op;
+    EXPECT_EQ(toks[0].kind, TokenKind::kPunct) << op;
+    EXPECT_EQ(toks[0].text, op);
+    EXPECT_TRUE(toks[0].is_punct(op)) << op;
+  }
+  // Runs split greedily: the longest operator first, then what is left.
+  const std::pair<const char*, std::vector<const char*>> runs[] = {
+      {"<<<=", {"<<<", "="}},   {"~^~", {"~^", "~"}},      {">>>>", {">>>", ">"}},
+      {"====", {"===", "="}},   {"!===", {"!==", "="}},    {"^~^", {"^~", "^"}},
+      {"**=", {"**", "="}},     {"+:-:", {"+:", "-:"}},    {"<=<", {"<=", "<"}},
+      {"&&&", {"&&", "&"}},     {"|||", {"||", "|"}},      {"~&~|", {"~&", "~|"}},
+      {"!=!", {"!=", "!"}},     {">=>>", {">=", ">>"}},    {"<<<<<", {"<<<", "<<"}},
+      {"a<=b", {"a", "<=", "b"}}, {"+-*", {"+", "-", "*"}}, {"~~", {"~", "~"}},
+  };
+  for (const auto& [source, expected] : runs) {
+    const auto toks = lex(source);
+    ASSERT_EQ(toks.size(), expected.size()) << source;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(toks[i].text, expected[i]) << source;
+    }
+  }
+}
+
+TEST(Lexer, ErrorMessagesAreExact) {
+  struct Case {
+    std::string_view source;
+    std::string_view message;
+    int line;
+    int column;
+  };
+  const Case cases[] = {
+      {"a\n  \\ b", "empty escaped identifier", 2, 3},
+      {"x = \\", "empty escaped identifier", 1, 5},
+      {"\n\n 4'", "truncated based literal", 3, 2},
+      {"8's", "truncated based literal", 1, 1},
+      {"y 4'q1010", "bad number base 'q'", 1, 3},
+      {"'\"", "bad number base '\"'", 1, 1},
+      {"4'b", "based literal with no digits", 1, 1},
+      {"a\n8'h_g", "based literal with no digits", 2, 1},
+      {"s = \"abc", "unterminated string", 1, 5},
+      {"\"ends in a backslash\\", "unterminated string", 1, 1},
+      {"a \x01 b", "unexpected character '\x01'", 1, 3},
+      {"\n\n\n   $", "unexpected character '$'", 4, 4},
+      {"\x80", "unexpected character '\x80'", 1, 1},
+      {std::string_view("\0", 1), std::string_view("unexpected character '\0'", 24), 1, 1},
+  };
+  for (const Case& c : cases) {
+    const auto toks = lex(c.source);
+    const auto error = std::find_if(toks.begin(), toks.end(),
+                                    [](const Token& t) { return t.kind == TokenKind::kError; });
+    ASSERT_NE(error, toks.end()) << c.message;
+    EXPECT_EQ(error->text, c.message);
+    EXPECT_EQ(error->line, c.line) << c.message;
+    EXPECT_EQ(error->column, c.column) << c.message;
+  }
+}
+
+TEST(Lexer, ControlAndHighBytes) {
+  // A byte >= 0x80 is neither a letter nor a digit: it ends the identifier.
+  const auto high = lex("a\x80" "b");
+  ASSERT_EQ(high.size(), 3u);
+  EXPECT_EQ(high[0].text, "a");
+  EXPECT_EQ(high[1].kind, TokenKind::kError);
+  EXPECT_EQ(high[2].text, "b");
+  EXPECT_EQ(high[2].column, 3);
+
+  const auto nul = lex(std::string_view("a\0b", 3));
+  ASSERT_EQ(nul.size(), 3u);
+  EXPECT_EQ(nul[0].text, "a");
+  EXPECT_EQ(nul[1].kind, TokenKind::kError);
+  EXPECT_EQ(nul[1].text.size(), 24u);
+  EXPECT_EQ(nul[2].text, "b");
+
+  // \v and \f separate tokens like a space; only \n starts a new line.
+  const auto ws = lex("a\vb\fc\rd\te\nf");
+  ASSERT_EQ(ws.size(), 6u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(ws[i].kind, TokenKind::kIdentifier);
+    EXPECT_EQ(ws[i].line, 1);
+    EXPECT_EQ(ws[i].column, static_cast<int>(2 * i + 1));
+  }
+  EXPECT_EQ(ws[5].line, 2);
+  EXPECT_EQ(ws[5].column, 1);
+
+  // Numbers, escaped identifiers and strings around the same bytes.
+  const auto mixed = lex("4'b1\x80 \\id\x80\x01 \"s\x80\"");
+  ASSERT_EQ(mixed.size(), 4u);
+  EXPECT_EQ(mixed[0].text, "4'b1");
+  EXPECT_EQ(mixed[1].kind, TokenKind::kError);
+  EXPECT_EQ(mixed[2].text, "id\x80\x01");
+  EXPECT_EQ(mixed[3].text, "s\x80");
+}
+
+TEST(Lexer, TokensViewTheSource) {
+  const std::string source =
+      "module m #(parameter W = 4'd3) (input [W:0] a, output reg \\y$ );\n"
+      "  // comment\n  always @(*) y = a <<< 1 ? \"str\" : 8'hF_f; /* x */ \x01 endmodule";
+  const auto toks = lex(source);
+  ASSERT_GT(toks.size(), 30u);
+  const char* const begin = source.data();
+  const char* const end = begin + source.size();
+  for (const Token& t : toks) {
+    if (t.kind == TokenKind::kError) continue;
+    EXPECT_GE(t.text.data(), begin) << t.text;
+    EXPECT_LE(t.text.data() + t.text.size(), end) << t.text;
+  }
 }
 
 // --- number literal parsing ---------------------------------------------------
